@@ -1,4 +1,5 @@
-//! Allocation-freedom gate for the simulation hot path.
+//! Allocation-freedom gate for the simulation hot path and the stream
+//! generators.
 //!
 //! A counting global allocator wraps the system allocator; after warm-up
 //! (which is allowed to grow scratch buffers to their steady-state
@@ -6,44 +7,21 @@
 //! perform ZERO heap allocations: no per-access allocation on the
 //! L1/L2-hit path and none per L2 demand miss (prefetch candidates land
 //! in the reused scratch buffer, walks use fixed-size buffers, TLB fills
-//! run the eviction flows in place).
+//! run the eviction flows in place), and none in the generator's `fill`.
 //!
-//! The test lives alone in its binary so no concurrent test can disturb
-//! the global counter.
+//! Each case runs on its own test thread and counts only that thread's
+//! allocations (`alloc_count`), so cases may run in parallel.
+
+mod alloc_count;
 
 use sim::{System, SystemConfig};
-use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
 use workloads::{registry, Scale};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SysAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { SysAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SysAlloc.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
-
 /// Builds a system for `workload`, warms it up, then asserts the measured
-/// window performs at most `allowed` allocations. `allowed` is 0 for the
-/// memory-system paths; workloads with *real algorithm state* (BFS's
-/// frontier vectors) are granted a tiny budget for that state's growth —
-/// the simulator's own access/miss path contributes none of it.
+/// window performs at most `allowed` allocations. `allowed` is 0 for
+/// every generator but BFS, whose frontier vectors are real algorithm
+/// state and may still see a couple of capacity doublings; the
+/// simulator's own access/miss path contributes none of it.
 fn assert_steady_state_allocs(config: SystemConfig, workload: &str, allowed: u64) {
     let w = registry::by_name_seeded(workload, Scale::Tiny, config.seed).expect("known workload");
     let mut sys = System::new(config, w);
@@ -51,31 +29,53 @@ fn assert_steady_state_allocs(config: SystemConfig, workload: &str, allowed: u64
     // scratch all reach steady-state capacity here.
     sys.run(200_000);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = alloc_count::allocations();
     sys.run(400_000);
-    let got = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let got = alloc_count::allocations() - before;
     assert!(
         got <= allowed,
         "{workload}: expected at most {allowed} steady-state allocation(s), got {got} over 400K instructions"
     );
 }
 
-#[test]
-fn hot_path_is_allocation_free_in_steady_state() {
-    // RND: the TLB-hostile random-access worst case — every access misses
-    // deep, so this drives the L2-demand-miss path (stream prefetcher +
-    // walks + Victima eviction flows) hundreds of thousands of times.
-    // Strictly zero allocations.
-    assert_steady_state_alloc_free(SystemConfig::victima(), "RND");
-    // The radix baseline's pure walk path: strictly zero.
-    assert_steady_state_alloc_free(SystemConfig::radix(), "RND");
-    // BFS: streaming traversal — exercises confident stream prefetches
-    // (the reused scratch buffer must never regrow). Its *frontier*
-    // vectors are real algorithm state and may still see a couple of
-    // capacity doublings; the memory-system path itself stays silent.
-    assert_steady_state_allocs(SystemConfig::victima(), "BFS", 4);
+/// Radix (the pure walk path) and Victima (walks plus the eviction
+/// flows) for one workload.
+fn assert_both_configs(workload: &str, allowed: u64) {
+    assert_steady_state_allocs(SystemConfig::radix(), workload, allowed);
+    assert_steady_state_allocs(SystemConfig::victima(), workload, allowed);
 }
 
-fn assert_steady_state_alloc_free(config: SystemConfig, workload: &str) {
-    assert_steady_state_allocs(config, workload, 0);
+/// RND: the TLB-hostile random-access worst case — every access misses
+/// deep, so this drives the L2-demand-miss path (stream prefetcher +
+/// walks + Victima eviction flows) hundreds of thousands of times.
+#[test]
+fn hot_path_is_allocation_free_in_steady_state() {
+    assert_both_configs("RND", 0);
+}
+
+#[test]
+fn gen_is_allocation_free() {
+    assert_both_configs("GEN", 0);
+}
+
+#[test]
+fn dlrm_is_allocation_free() {
+    assert_both_configs("DLRM", 0);
+}
+
+#[test]
+fn xs_is_allocation_free() {
+    assert_both_configs("XS", 0);
+}
+
+/// BFS: streaming traversal — exercises confident stream prefetches (the
+/// reused scratch buffer must never regrow). Only its frontier may grow.
+#[test]
+fn bfs_allocates_only_frontier_growth() {
+    assert_both_configs("BFS", 4);
+}
+
+#[test]
+fn tc_is_allocation_free() {
+    assert_both_configs("TC", 0);
 }

@@ -11,36 +11,13 @@
 //! tracing) must not change a single simulated statistic — the
 //! instrumentation observes events, it never participates in them.
 //!
-//! Lives alone in its binary so no concurrent test can disturb the
-//! global allocation counter.
+//! The allocation gate counts only its own thread's allocations
+//! (`alloc_count`), so the determinism gate may run beside it.
+
+mod alloc_count;
 
 use sim::{ObsMode, RunSpec, SimEngine, System, SystemConfig};
-use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
 use workloads::{registry, Scale};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SysAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { SysAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SysAlloc.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
 
 /// Warm a system up with metrics recording live, then assert the
 /// measured window allocates nothing: metric recording must be as
@@ -51,9 +28,9 @@ fn assert_metrics_path_alloc_free(config: SystemConfig, workload: &str) {
     sys.enable_metrics();
     sys.run(200_000);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = alloc_count::allocations();
     sys.run(400_000);
-    let got = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let got = alloc_count::allocations() - before;
     assert_eq!(
         got, 0,
         "{workload}: metric recording must be allocation-free in steady state \

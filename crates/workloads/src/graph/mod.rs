@@ -6,7 +6,8 @@
 //! therefore emit the exact CSR access skeleton — `offsets[v]`,
 //! sequential `edges[...]` runs, random property-array gathers — without
 //! materialising multi-hundred-MB arrays in host memory. Algorithm state
-//! (frontiers, visited bits, labels, distances) is real.
+//! (frontiers, visited bits, labels, distances) is real wherever it
+//! steers the stream; TC has none beyond its vertex cursor.
 
 pub mod bc;
 pub mod bfs;
@@ -84,13 +85,21 @@ impl ProcGraph {
 
     /// The `i`-th neighbour of `v` (deterministic hash).
     ///
+    /// A power-of-two vertex count (every registry scale) reduces the
+    /// hash with a mask instead of a 64-bit division; same neighbour.
+    ///
     /// # Panics
     ///
     /// Panics (debug builds) if `i >= degree(v)`.
     #[inline]
     pub fn neighbor(&self, v: u64, i: u64) -> u64 {
         debug_assert!(i < self.degree(v));
-        mix2(self.seed ^ v, i) % self.v
+        let h = mix2(self.seed ^ v, i);
+        if self.v.is_power_of_two() {
+            h & (self.v - 1)
+        } else {
+            h % self.v
+        }
     }
 }
 
@@ -226,6 +235,16 @@ mod tests {
                 let u = g.neighbor(v, i);
                 assert!(u < g.num_vertices());
                 assert_eq!(u, g.neighbor(v, i), "determinism");
+            }
+        }
+    }
+
+    #[test]
+    fn masked_neighbors_equal_the_modulo_reduction() {
+        let g = ProcGraph::new(1 << 17, 8, 7);
+        for v in [0u64, 3, 4096, 131_071] {
+            for i in 0..g.degree(v) {
+                assert_eq!(g.neighbor(v, i), mix2(7 ^ v, i) % (1 << 17), "vertex {v} slot {i}");
             }
         }
     }

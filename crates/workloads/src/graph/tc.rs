@@ -1,9 +1,13 @@
 //! Triangle counting (GraphBIG **TC**).
 //!
-//! Merge-based intersection of adjacency lists: for each edge (v, u) with
-//! u > v, stream both sorted lists in tandem. Almost entirely sequential
-//! edge-array reads from two cursors — the most cache/prefetch-friendly
-//! of the graph kernels, giving the suite its locality spread.
+//! For each vertex `v` in order, TC reads `v`'s offsets and its (capped)
+//! adjacency list, then for every neighbour `u > v` reads `u`'s offsets
+//! and its (capped) adjacency list — the access skeleton of a merge-based
+//! intersection. Almost entirely sequential edge-array reads from two
+//! cursors: the most cache/prefetch-friendly of the graph kernels, giving
+//! the suite its locality spread. The intersection itself is not
+//! modelled: which neighbours match never changes the emitted stream, so
+//! the generator's only state is its vertex cursor.
 
 use super::{GraphCore, PropKind};
 use crate::{RegionSpec, Scale, Workload};
@@ -20,15 +24,13 @@ pub struct TriangleCount {
     core: GraphCore,
     specs: Vec<RegionSpec>,
     cursor: u64,
-    /// Triangles found so far (real count over the procedural graph).
-    pub triangles: u64,
 }
 
 impl TriangleCount {
     /// Creates the workload.
     pub fn new(scale: Scale, seed: u64) -> Self {
         let (core, specs, _) = GraphCore::new(scale, seed, &PROPS);
-        Self { core, specs, cursor: 0, triangles: 0 }
+        Self { core, specs, cursor: 0 }
     }
 }
 
@@ -46,33 +48,20 @@ impl Workload for TriangleCount {
     }
 
     fn fill(&mut self, out: &mut Vec<MemRef>) {
-        let v = self.cursor % self.core.graph.num_vertices();
+        let (core, graph) = (&self.core, &self.core.graph);
+        let v = self.cursor % graph.num_vertices();
         self.cursor += 1;
-        self.core.emit_offsets(v, 110, out);
-        let dv = self.core.graph.degree(v).min(CAP);
-        // Collect v's (capped) neighbour list, emitting its sequential reads.
-        let mut nv: Vec<u64> = (0..dv).map(|i| self.core.emit_edge(v, i, 111, out)).collect();
-        nv.sort_unstable();
+        core.emit_offsets(v, 110, out);
+        let dv = graph.degree(v).min(CAP);
         for i in 0..dv {
-            let u = self.core.graph.neighbor(v, i);
-            if u <= v {
-                continue;
-            }
-            self.core.emit_offsets(u, 112, out);
-            let du = self.core.graph.degree(u).min(CAP);
-            // Merge-intersect: sequential reads of u's list against nv.
-            let mut nu: Vec<u64> = (0..du).map(|j| self.core.emit_edge(u, j, 113, out)).collect();
-            nu.sort_unstable();
-            let (mut a, mut b) = (0usize, 0usize);
-            while a < nv.len() && b < nu.len() {
-                match nv[a].cmp(&nu[b]) {
-                    std::cmp::Ordering::Less => a += 1,
-                    std::cmp::Ordering::Greater => b += 1,
-                    std::cmp::Ordering::Equal => {
-                        self.triangles += 1;
-                        a += 1;
-                        b += 1;
-                    }
+            core.emit_edge(v, i, 111, out);
+        }
+        for i in 0..dv {
+            let u = graph.neighbor(v, i);
+            if u > v {
+                core.emit_offsets(u, 112, out);
+                for j in 0..graph.degree(u).min(CAP) {
+                    core.emit_edge(u, j, 113, out);
                 }
             }
         }

@@ -7,7 +7,9 @@
 //! access skeleton*: the data-structure layout (regions with a per-region
 //! huge-page fraction, standing in for a real THP profile) and the access
 //! pattern the algorithm performs over it. Algorithm state (frontiers,
-//! visited bits, hash seeds) is real; the multi-hundred-MB data arrays are
+//! visited bits, hash seeds) is real wherever it steers the stream — TC,
+//! whose stream never depends on its intersections, keeps none beyond a
+//! vertex cursor; the multi-hundred-MB data arrays are
 //! virtual-address-only — generators compute which addresses the program
 //! *would* touch, which is everything a translation/cache study observes.
 //!
