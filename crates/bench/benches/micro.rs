@@ -1,13 +1,13 @@
 //! Micro-benchmarks for the hot data structures: cache access, TLB probe,
-//! radix walk, and Victima's probe (harness = false; a self-contained
-//! timing loop keeps the workspace dependency-free).
+//! radix walk, region mapping, and Victima's probe (harness = false; a
+//! self-contained timing loop keeps the workspace dependency-free).
 //!
 //! ```text
 //! cargo bench --bench micro [filter]
 //! ```
 
 use mem_sim::{BlockKind, Cache, CacheConfig, Hierarchy, HierarchyConfig, MemClass, Policy, ReplacementCtx};
-use page_table::{FrameAllocator, RadixPageTable};
+use page_table::{AddressSpace, FrameAllocator, RadixPageTable};
 use std::hint::black_box;
 use std::time::Instant;
 use tlb_sim::{PageTableWalker, SetAssocTlb, TlbConfig, TlbEntry};
@@ -15,7 +15,13 @@ use victima::{tlb_block, Victima};
 use vm_types::{Asid, PageSize, PhysAddr, SplitMix64, VirtAddr};
 
 /// Times `iters` calls of `f` after a short warm-up and prints ns/op.
-fn bench(filter: &[String], name: &str, iters: u64, mut f: impl FnMut()) {
+fn bench(filter: &[String], name: &str, iters: u64, f: impl FnMut()) {
+    bench_per(filter, name, iters, 1, "op", f);
+}
+
+/// Like [`bench`] for an `f` that does `units` `unit`s of work per call;
+/// prints ns per unit.
+fn bench_per(filter: &[String], name: &str, iters: u64, units: u64, unit: &str, mut f: impl FnMut()) {
     if !filter.is_empty() && !filter.iter().any(|p| name.contains(p.as_str())) {
         return;
     }
@@ -28,8 +34,8 @@ fn bench(filter: &[String], name: &str, iters: u64, mut f: impl FnMut()) {
     }
     let elapsed = start.elapsed();
     println!(
-        "{name:<28} {:>9.1} ns/op   ({iters} iters, {:.2}s)",
-        elapsed.as_nanos() as f64 / iters as f64,
+        "{name:<28} {:>9.1} ns/{unit:<4} ({iters} iters, {:.2}s)",
+        elapsed.as_nanos() as f64 / (iters * units) as f64,
         elapsed.as_secs_f64()
     );
 }
@@ -105,6 +111,14 @@ fn main() {
     bench(&filter, "radix_walk", 1_000_000, || {
         let va = VirtAddr::new(0x4000_0000 + rng4.next_below(10_000) * 4096);
         black_box(walker.walk(&mut pt, va, Asid::new(1), &mut walk_hier, &ctx));
+    });
+
+    // Eager region set-up: a fresh 256MB region per call, 30% of its 2MB
+    // chunks as huge pages and the rest as 512-page leaf runs.
+    let mut map_alloc = FrameAllocator::new(1 << 40, 8);
+    let mut aspace = AddressSpace::new(Asid::new(1), &mut map_alloc, 8);
+    bench_per(&filter, "address_space_map_region", 100, (256 << 20) / 4096, "page", || {
+        black_box(aspace.map_region(256 << 20, 0.3, &mut map_alloc));
     });
 
     let vctx = ReplacementCtx { l2_tlb_mpki: 10.0, l2_cache_mpki: 0.0 };

@@ -124,59 +124,39 @@ impl NestedMemory {
                     let hframe = self.host_alloc.alloc_2m();
                     self.host_pt.map(gpa_base, hframe, PageSize::Size2M, &mut self.host_alloc);
                 } else {
-                    for i in 0..512u64 {
-                        let hframe = self.host_alloc.alloc_4k();
-                        self.host_pt.map(
-                            gpa_base.add(i * 4096),
-                            hframe,
-                            PageSize::Size4K,
-                            &mut self.host_alloc,
-                        );
-                    }
+                    self.host_pt.map_4k_run(gpa_base, 512, &mut self.host_alloc, FrameAllocator::alloc_4k);
                 }
             }
         }
     }
 
-    /// Builds shadow (gVA → hPA) entries for a freshly mapped region.
+    /// Builds shadow (gVA → hPA) entries for a freshly mapped region,
+    /// one 2MB chunk at a time (regions are 2MB-aligned multiples of 2MB).
     /// Shadow granularity is 2MB only when both the guest page and the
     /// backing host extent are 2MB (page splintering otherwise).
     fn shadow_map_region(&mut self, region: &MappedRegion) {
-        let mut off = 0;
-        while off < region.bytes {
+        let (guest, host) = (&self.guest.page_table, &self.host_pt);
+        for off in (0..region.bytes).step_by(2 << 20) {
             let gva = region.at(off);
-            let (gpa, gsize) = self.guest.page_table.translate(gva).expect("region must be guest-mapped");
-            if gsize == PageSize::Size2M {
-                let (hpa, hsize) = self.host_translate(gpa).expect("gpa must be host-mapped");
-                if hsize == PageSize::Size2M && hpa.page_offset(PageSize::Size2M) == 0 {
-                    self.shadow.table.map(
-                        gva,
-                        hpa.frame(PageSize::Size4K),
-                        PageSize::Size2M,
-                        &mut self.host_alloc,
-                    );
-                } else {
-                    for i in 0..512u64 {
-                        let (hpa, _) =
-                            self.host_translate(gpa.add(i * 4096)).expect("gpa must be host-mapped");
-                        self.shadow.table.map(
-                            gva.add(i * 4096),
-                            hpa.frame(PageSize::Size4K),
-                            PageSize::Size4K,
-                            &mut self.host_alloc,
-                        );
-                    }
-                }
-                off += 2 << 20;
-            } else {
-                let (hpa, _) = self.host_translate(gpa).expect("gpa must be host-mapped");
+            let (gpa, gsize) = guest.translate(gva).expect("region must be guest-mapped");
+            let (hpa, hsize) = self.host_translate(gpa).expect("gpa must be host-mapped");
+            if gsize == PageSize::Size2M
+                && hsize == PageSize::Size2M
+                && hpa.page_offset(PageSize::Size2M) == 0
+            {
                 self.shadow.table.map(
                     gva,
                     hpa.frame(PageSize::Size4K),
-                    PageSize::Size4K,
+                    PageSize::Size2M,
                     &mut self.host_alloc,
                 );
-                off += 4096;
+            } else {
+                let mut page = gva;
+                self.shadow.table.map_4k_run(gva, 512, &mut self.host_alloc, |_| {
+                    let hpa = compose(guest, host, page).expect("gva must translate end to end");
+                    page = page.add(4096);
+                    hpa.frame(PageSize::Size4K)
+                });
             }
         }
     }
@@ -189,10 +169,15 @@ impl NestedMemory {
     /// End-to-end translation gVA → hPA via guest + host tables (ground
     /// truth; must agree with the shadow table).
     pub fn full_translate(&self, gva: VirtAddr) -> Option<PhysAddr> {
-        let (gpa, _) = self.guest.page_table.translate(gva)?;
-        let (hpa, _) = self.host_translate(gpa)?;
-        Some(hpa)
+        compose(&self.guest.page_table, &self.host_pt, gva)
     }
+}
+
+/// gVA → hPA through a guest and a host table.
+fn compose(guest: &RadixPageTable, host: &RadixPageTable, gva: VirtAddr) -> Option<PhysAddr> {
+    let (gpa, _) = guest.translate(gva)?;
+    let (hpa, _) = host.translate(gpa_as_va_addr(gpa))?;
+    Some(hpa)
 }
 
 /// Reinterprets a guest-physical frame number as the "virtual" input of the

@@ -12,6 +12,7 @@ use crate::radix::RadixPageTable;
 use vm_types::{Asid, PageSize, SplitMix64, VirtAddr};
 
 const CHUNK: u64 = 2 << 20;
+const PAGES_PER_CHUNK: usize = (CHUNK / 4096) as usize;
 /// Guard gap between regions, so workload regions never share leaf PTE
 /// blocks.
 const GUARD: u64 = 64 << 20;
@@ -106,10 +107,7 @@ impl AddressSpace {
                 let frame = alloc.alloc_2m();
                 self.page_table.map(va, frame, PageSize::Size2M, alloc);
             } else {
-                for i in 0..(CHUNK / 4096) {
-                    let frame = alloc.alloc_4k();
-                    self.page_table.map(va.add(i * 4096), frame, PageSize::Size4K, alloc);
-                }
+                self.page_table.map_4k_run(va, PAGES_PER_CHUNK, alloc, FrameAllocator::alloc_4k);
             }
             va = va.add(CHUNK);
         }

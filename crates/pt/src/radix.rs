@@ -152,6 +152,50 @@ impl RadixPageTable {
     /// Panics if the mapping would overwrite an existing incompatible
     /// mapping (the OS layer never double-maps).
     pub fn map(&mut self, va: VirtAddr, frame: u64, size: PageSize, alloc: &mut FrameAllocator) {
+        self.map_in_table(va, frame, size, alloc);
+    }
+
+    /// Maps `count` consecutive 4KB pages from `va`, a run inside one leaf
+    /// table, drawing each page's frame from `next_frame` in page order.
+    /// The first page goes through [`RadixPageTable::map`], so its frame is
+    /// drawn before any intermediate table it needs, exactly as a per-page
+    /// loop would draw them; the rest are written straight into the leaf
+    /// table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is zero, if the run crosses a leaf-table boundary,
+    /// or if any page of it is already mapped.
+    pub fn map_4k_run(
+        &mut self,
+        va: VirtAddr,
+        count: usize,
+        alloc: &mut FrameAllocator,
+        mut next_frame: impl FnMut(&mut FrameAllocator) -> u64,
+    ) {
+        let first = va.radix_index(0);
+        assert!(
+            count > 0 && first + count <= TABLE_ENTRIES,
+            "a run of {count} 4KB pages at {va} does not fit one leaf table"
+        );
+        let frame = next_frame(alloc);
+        let table = self.map_in_table(va, frame, PageSize::Size4K, alloc);
+        for (i, slot) in self.tables[table].entries[first + 1..first + count].iter_mut().enumerate() {
+            assert!(!is_present(*slot), "double mapping at {}", va.add((i as u64 + 1) * 4096));
+            *slot = encode_leaf(Pte::leaf(next_frame(alloc), PageSize::Size4K));
+        }
+        self.mapped_pages += count as u64 - 1;
+    }
+
+    /// [`RadixPageTable::map`], returning the index of the table that holds
+    /// the new leaf entry.
+    fn map_in_table(
+        &mut self,
+        va: VirtAddr,
+        frame: u64,
+        size: PageSize,
+        alloc: &mut FrameAllocator,
+    ) -> usize {
         let leaf_level = size.leaf_level();
         let mut table = self.root;
         let mut level = LEVELS - 1;
@@ -176,6 +220,7 @@ impl RadixPageTable {
         assert!(!is_present(*slot), "double mapping at {va}");
         *slot = encode_leaf(Pte::leaf(frame, size));
         self.mapped_pages += 1;
+        table
     }
 
     /// Walks the table for `va`, recording the PTE physical address touched
@@ -475,6 +520,91 @@ mod tests {
         pt.map(va, f, PageSize::Size4K, &mut alloc);
         let g = alloc.alloc_4k();
         pt.map(va, g, PageSize::Size4K, &mut alloc);
+    }
+
+    /// Frame, page-size shift and walk-step PTE addresses of `va`; empty
+    /// when unmapped.
+    fn walk_key(pt: &RadixPageTable, va: VirtAddr) -> Vec<u64> {
+        pt.walk(va).map_or(Vec::new(), |w| {
+            [w.frame, w.page_size.shift()]
+                .into_iter()
+                .chain(w.steps().iter().map(|s| s.pte_paddr.raw()))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn map_4k_run_matches_a_per_page_map_loop() {
+        let mut rng = vm_types::SplitMix64::new(0x4b52_756e);
+        for case in 0..300 {
+            // Twin tables over twin allocators receive the same set-up.
+            let (mut alloc_run, mut run) = setup();
+            let (mut alloc_loop, mut per_page) = setup();
+            let leaf = VirtAddr::new(rng.next_below(1 << 26) << 21);
+            let start = rng.next_below(512) as usize;
+            let count = 1 + rng.next_below(512 - start as u64) as usize;
+            let va = leaf.add(start as u64 * 4096);
+            // Neighbours already mapped in the same leaf table (which then
+            // exists), a 4KB or 2MB sibling under the same directory, or
+            // fresh intermediate tables.
+            let mut prior = Vec::new();
+            match rng.next_below(3) {
+                0 => {
+                    for p in (0..start).chain(start + count..512) {
+                        if rng.chance(0.3) {
+                            prior.push((leaf.add(p as u64 * 4096), PageSize::Size4K));
+                        }
+                    }
+                }
+                1 => {
+                    let size = if rng.chance(0.5) { PageSize::Size2M } else { PageSize::Size4K };
+                    prior.push((VirtAddr::new(leaf.raw() ^ (1 << 21)), size));
+                }
+                _ => {}
+            }
+            for (alloc, pt) in [(&mut alloc_run, &mut run), (&mut alloc_loop, &mut per_page)] {
+                for &(pva, size) in &prior {
+                    let frame = alloc.alloc(size);
+                    pt.map(pva, frame, size, alloc);
+                }
+            }
+            run.map_4k_run(va, count, &mut alloc_run, FrameAllocator::alloc_4k);
+            for i in 0..count as u64 {
+                let frame = alloc_loop.alloc_4k();
+                per_page.map(va.add(i * 4096), frame, PageSize::Size4K, &mut alloc_loop);
+            }
+            for p in 0..512u64 {
+                let pva = leaf.add(p * 4096);
+                assert_eq!(walk_key(&run, pva), walk_key(&per_page, pva), "case {case}: page {p} differs");
+            }
+            for &(pva, _) in &prior {
+                assert_eq!(
+                    walk_key(&run, pva),
+                    walk_key(&per_page, pva),
+                    "case {case}: prior mapping differs"
+                );
+            }
+            assert_eq!(run.table_frames(), per_page.table_frames(), "case {case}");
+            assert_eq!(run.mapped_pages(), per_page.mapped_pages(), "case {case}");
+            assert_eq!(alloc_run.frames_used(), alloc_loop.frames_used(), "case {case}");
+            assert_eq!(alloc_run.rng_state(), alloc_loop.rng_state(), "case {case}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit one leaf table")]
+    fn map_4k_run_across_a_leaf_table_boundary_panics() {
+        let (mut alloc, mut pt) = setup();
+        pt.map_4k_run(VirtAddr::new(0x4000_0000 + 500 * 4096), 13, &mut alloc, FrameAllocator::alloc_4k);
+    }
+
+    #[test]
+    #[should_panic(expected = "double mapping")]
+    fn map_4k_run_over_a_mapped_page_panics() {
+        let (mut alloc, mut pt) = setup();
+        let f = alloc.alloc_4k();
+        pt.map(VirtAddr::new(0x4000_0000 + 7 * 4096), f, PageSize::Size4K, &mut alloc);
+        pt.map_4k_run(VirtAddr::new(0x4000_0000), 16, &mut alloc, FrameAllocator::alloc_4k);
     }
 
     #[test]
