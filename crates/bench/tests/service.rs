@@ -118,9 +118,9 @@ fn daemon_cli_cold_warm_local_and_status_roundtrip() {
 #[test]
 fn aborting_worker_process_is_isolated_to_its_spec() {
     let dir = scratch("crash");
-    // The daemon's workers inherit the crash knob: any spec simulating
-    // BC calls abort() mid-run, killing that worker process for real.
-    let _daemon = serve(&dir, &[(svc::CRASH_ENV, "BC")]);
+    // The daemon's fault plan makes any worker simulating BC call
+    // abort() mid-run, killing that worker process for real.
+    let _daemon = serve(&dir, &[(svc::FAULTS_ENV, "abort=BC")]);
 
     let args = [
         "submit",

@@ -232,7 +232,7 @@ impl MultiCoreSystem {
                 }
                 self.make_resident(core, p);
                 let remaining = targets[p] - self.cores[core].process().retired;
-                self.cores[core].run_quantum(remaining.min(quantum));
+                self.cores[core].run(remaining.min(quantum));
                 progressed = true;
             }
             if !progressed {

@@ -4,15 +4,17 @@
 //! L1 D-TLBs (per page size) → unified L2 TLB → mechanism-specific
 //! backstop (radix walk, hardware L3 TLB, POM-TLB lookup, Victima's
 //! parallel L2-cache probe, or the Fig. 10 ideal backstop) → page-table
-//! walk. Virtualised flows live in [`crate::virt`].
+//! walk. One L2-TLB-miss pipeline serves native and virtualised modes;
+//! the nested 2D walk lives in [`crate::virt`].
 
 use crate::config::{ExecMode, SystemConfig, TranslationMechanism};
 use crate::epochs::EpochTracker;
 use crate::obs::SimMetrics;
 use crate::stats::SimStats;
+use crate::virt::compose_entry;
 use mem_sim::{BlockKind, Hierarchy, MemClass, MemLevel, Policy, SharedLlc};
 use obs::Tracer;
-use page_table::{AddressSpace, FrameAllocator, MappedRegion, NestedMemory};
+use page_table::{AddressSpace, FrameAllocator, MappedRegion, NestedMemory, Pte, RadixPageTable};
 use std::cell::RefCell;
 use std::rc::Rc;
 use tlb_sim::{PageTableWalker, PomTlb, SetAssocTlb, TlbEntry};
@@ -37,6 +39,70 @@ pub(crate) enum Memory {
         /// The guest memory image.
         nested: Box<NestedMemory>,
     },
+}
+
+impl Memory {
+    /// The virtualised image.
+    ///
+    /// # Panics
+    ///
+    /// Panics in native mode.
+    pub(crate) fn nested(&mut self) -> &mut NestedMemory {
+        match self {
+            Memory::Virt { nested } => nested,
+            Memory::Native { .. } => unreachable!("virtualised flow"),
+        }
+    }
+
+    /// The page size backing `va` (guest-side in virtualised mode), or
+    /// `None` if unmapped.
+    pub(crate) fn page_size(&self, va: VirtAddr) -> Option<PageSize> {
+        let pt = match self {
+            Memory::Native { aspace, .. } => &aspace.page_table,
+            Memory::Virt { nested } => &nested.guest.page_table,
+        };
+        pt.translate(va).map(|(_, s)| s)
+    }
+
+    /// Builds the TLB entry for `va` without timing: the ideal backstop,
+    /// functional warming and Victima probe hits, where the hardware reads
+    /// the PTE straight out of the hit block. With `size`, returns `None`
+    /// unless the mapping has that page size (a stale 2MB/4KB block view),
+    /// so one software translation serves both the view check and the
+    /// entry. Virtualised entries hold the composed gVA→hPA translation
+    /// (Fig. 19). `None` also if unmapped.
+    pub(crate) fn soft_entry(&self, va: VirtAddr, asid: Asid, size: Option<PageSize>) -> Option<TlbEntry> {
+        match self {
+            Memory::Native { aspace, .. } => {
+                let w = aspace.page_table.walk(va)?;
+                size.is_none_or(|s| s == w.page_size)
+                    .then(|| entry_from(va, asid, w.page_size, w.frame, w.leaf_pte))
+            }
+            Memory::Virt { nested } => {
+                let (gpa, gsize) = nested.guest.page_table.translate(va)?;
+                if size.is_some_and(|s| s != gsize) {
+                    return None;
+                }
+                let (hpa_piece, _) =
+                    nested.host_translate(PhysAddr::new(gpa.raw() & !0xfff)).expect("gpa host-mapped");
+                Some(compose_entry(nested, va, asid, gsize, gpa, hpa_piece))
+            }
+        }
+    }
+
+    /// The radix table a one-dimensional walk for a `kind` entry runs
+    /// over: the process table natively, the host table for nested TLB
+    /// entries, or the I-SP shadow table (gVA → hPA; shadow maintenance
+    /// is free by definition of the ideal baseline). `None` selects the
+    /// nested 2D walk.
+    fn walk_table(&mut self, mode: ExecMode, kind: BlockKind) -> Option<&mut RadixPageTable> {
+        match (self, mode, kind) {
+            (Memory::Native { aspace, .. }, ..) => Some(&mut aspace.page_table),
+            (Memory::Virt { nested }, _, BlockKind::NestedTlb) => Some(&mut nested.host_pt),
+            (Memory::Virt { nested }, ExecMode::VirtualizedShadow, _) => Some(&mut nested.shadow.table),
+            (Memory::Virt { .. }, ..) => None,
+        }
+    }
 }
 
 /// Everything that belongs to the *process* rather than the core: the
@@ -412,10 +478,21 @@ impl System {
     pub fn run(&mut self, instructions: u64) {
         let mut advanced = 0u64;
         while advanced < instructions {
-            let r = self.proc.stream.next_ref();
+            let r = self.next_ref();
             advanced += r.instructions();
             self.step(r);
         }
+    }
+
+    /// Pulls the next reference from the stream, firing the record hook
+    /// and counting it in `refs_consumed`.
+    fn next_ref(&mut self) -> MemRef {
+        let r = self.proc.stream.next_ref();
+        if let Some(hook) = self.record_hook.as_mut() {
+            hook(r);
+        }
+        self.refs_consumed += 1;
+        r
     }
 
     /// Runs `warmup` instructions, discards all statistics, then runs
@@ -462,11 +539,7 @@ impl System {
         let mut last_vpn4k = u64::MAX;
         let mut advanced = 0u64;
         while advanced < instructions {
-            let r = self.proc.stream.next_ref();
-            if let Some(hook) = self.record_hook.as_mut() {
-                hook(r);
-            }
-            self.refs_consumed += 1;
+            let r = self.next_ref();
             advanced += r.instructions();
             let vpn4k = r.vaddr.vpn(PageSize::Size4K);
             if vpn4k == last_vpn4k {
@@ -482,14 +555,10 @@ impl System {
             // payload and only touches the LRU stamp — exactly what a
             // probe hit would do. Fill/eviction statistics are clobbered,
             // but every measurement window starts with `reset_stats`.
-            let Memory::Native { aspace, .. } = &self.proc.memory else {
-                unreachable!("native flow");
-            };
-            let walk = aspace
-                .page_table
-                .walk(r.vaddr)
-                .unwrap_or_else(|| panic!("page fault at {}: workload touched an unmapped page", r.vaddr));
-            let entry = soft_walk_entry(r.vaddr, asid, &walk);
+            let entry =
+                self.proc.memory.soft_entry(r.vaddr, asid, None).unwrap_or_else(|| {
+                    panic!("page fault at {}: workload touched an unmapped page", r.vaddr)
+                });
             // Raw fill: the eviction-side hooks (Victima background
             // walks, POM spills) are timing/traffic mechanisms and stay
             // off in functional mode.
@@ -511,23 +580,7 @@ impl System {
     pub fn skip(&mut self, instructions: u64) {
         let mut advanced = 0u64;
         while advanced < instructions {
-            let r = self.proc.stream.next_ref();
-            if let Some(hook) = self.record_hook.as_mut() {
-                hook(r);
-            }
-            self.refs_consumed += 1;
-            advanced += r.instructions();
-        }
-    }
-
-    /// Runs the *resident process* for up to `instructions` more retired
-    /// instructions (the multi-core scheduler's quantum unit: core stats
-    /// blend processes, per-process progress lives in the [`ProcessCtx`]).
-    pub fn run_quantum(&mut self, instructions: u64) {
-        let target = self.proc.retired + instructions;
-        while self.proc.retired < target {
-            let r = self.proc.stream.next_ref();
-            self.step(r);
+            advanced += self.next_ref().instructions();
         }
     }
 
@@ -584,10 +637,6 @@ impl System {
 
     /// Executes one memory reference through the full model.
     fn step(&mut self, r: MemRef) {
-        if let Some(hook) = self.record_hook.as_mut() {
-            hook(r);
-        }
-        self.refs_consumed += 1;
         let instrs = r.instructions();
         self.stats.instructions += instrs;
         self.stats.mem_refs += 1;
@@ -603,7 +652,7 @@ impl System {
             self.epoch.on_l2_cache_miss();
         }
         if self.tracker.is_some() {
-            let size = self.page_size_of(r.vaddr);
+            let size = self.proc.memory.page_size(r.vaddr).unwrap_or(PageSize::Size4K);
             let asid = self.proc.asid;
             if let Some(t) = self.tracker.as_mut() {
                 t.on_access(asid, r.vaddr, size);
@@ -653,10 +702,7 @@ impl System {
                 let entry = match self.l2_tlb.probe(vpn, self.proc.asid, PageSize::Size4K) {
                     Some(e) => e,
                     None => {
-                        let res = match self.cfg.mode {
-                            ExecMode::Native => self.resolve_l2_miss(va),
-                            _ => self.resolve_l2_miss_virt(va),
-                        };
+                        let res = self.resolve_l2_miss(va);
                         lat += res.latency;
                         self.fill_l2_tlb(res.entry);
                         res.entry
@@ -682,14 +728,14 @@ impl System {
             if let Some(m) = &self.metrics {
                 m.inc(m.l1_tlb_hit);
             }
-            return (self.entry_pa(&e, va), 0);
+            return (frame_pa(e.frame, e.size, va), 0);
         }
         if let Some(e) = self.dtlb2m.probe(va.vpn(PageSize::Size2M), self.proc.asid, PageSize::Size2M) {
             self.stats.l1_tlb_hits += 1;
             if let Some(m) = &self.metrics {
                 m.inc(m.l1_tlb_hit);
             }
-            return (self.entry_pa(&e, va), 0);
+            return (frame_pa(e.frame, e.size, va), 0);
         }
         self.stats.l1_tlb_misses += 1;
         if let Some(m) = &self.metrics {
@@ -706,7 +752,7 @@ impl System {
                 }
                 self.fill_l1(e);
                 self.track_l1_miss(va, size);
-                return (self.entry_pa(&e, va), latency);
+                return (frame_pa(e.frame, e.size, va), latency);
             }
         }
         self.stats.l2_tlb_misses += 1;
@@ -715,10 +761,7 @@ impl System {
         }
         self.epoch.on_l2_tlb_miss();
 
-        let res = match self.cfg.mode {
-            ExecMode::Native => self.resolve_l2_miss(va),
-            _ => self.resolve_l2_miss_virt(va),
-        };
+        let res = self.resolve_l2_miss(va);
         latency += res.latency;
         if let Some(m) = &self.metrics {
             m.observe(m.l2_miss_latency, res.latency);
@@ -733,7 +776,7 @@ impl System {
         self.fill_l1(res.entry);
         self.track_l1_miss(va, res.entry.size);
         self.track_l2_miss(va, res.entry.size);
-        (self.entry_pa(&res.entry, va), latency)
+        (frame_pa(res.entry.frame, res.entry.size, va), latency)
     }
 
     /// Translates once (public hook for tests and examples): runs the full
@@ -754,34 +797,7 @@ impl System {
     /// The page size backing `va` (guest-side in virtualised mode), or
     /// `None` if unmapped. Software lookup; no timing or state changes.
     pub fn page_size_at(&self, va: VirtAddr) -> Option<PageSize> {
-        match &self.proc.memory {
-            Memory::Native { aspace, .. } => aspace.page_table.translate(va).map(|(_, s)| s),
-            Memory::Virt { nested } => nested.guest.page_table.translate(va).map(|(_, s)| s),
-        }
-    }
-
-    #[inline]
-    fn entry_pa(&self, e: &TlbEntry, va: VirtAddr) -> PhysAddr {
-        match e.size {
-            PageSize::Size4K => {
-                PhysAddr::from_frame(e.frame, PageSize::Size4K, va.page_offset(PageSize::Size4K))
-            }
-            PageSize::Size2M => {
-                PhysAddr::from_frame(e.frame >> 9, PageSize::Size2M, va.page_offset(PageSize::Size2M))
-            }
-        }
-    }
-
-    /// The page size backing `va` (software lookup).
-    pub(crate) fn page_size_of(&self, va: VirtAddr) -> PageSize {
-        match &self.proc.memory {
-            Memory::Native { aspace, .. } => {
-                aspace.page_table.translate(va).map(|(_, s)| s).unwrap_or(PageSize::Size4K)
-            }
-            Memory::Virt { nested } => {
-                nested.guest.page_table.translate(va).map(|(_, s)| s).unwrap_or(PageSize::Size4K)
-            }
-        }
+        self.proc.memory.page_size(va)
     }
 
     fn track_l1_miss(&mut self, va: VirtAddr, size: PageSize) {
@@ -806,57 +822,50 @@ impl System {
         }
     }
 
-    /// Fills the L2 TLB and runs the eviction-side hooks (Victima's
-    /// background-walk flow, POM-TLB's spill).
+    /// Fills the L2 TLB and runs the eviction-side hooks: the POM-TLB
+    /// spill, then Victima's eviction flow.
     pub(crate) fn fill_l2_tlb(&mut self, e: TlbEntry) {
         let Some(ev) = self.l2_tlb.fill(e) else {
             return;
         };
-        let ev_va = VirtAddr::new(ev.vpn << ev.size.shift());
         if let Some(t) = self.tracker.as_mut() {
-            t.on_l2_tlb_eviction(ev.asid, ev_va, ev.size);
+            t.on_l2_tlb_eviction(ev.asid, VirtAddr::new(ev.vpn << ev.size.shift()), ev.size);
         }
-        match &self.cfg.mechanism {
-            TranslationMechanism::PomTlb(_) => {
-                // Spill the evicted entry to the in-memory TLB (off the
-                // critical path: traffic only).
-                if let Some(pom) = self.pom.as_mut() {
-                    let line = pom.insert(ev.vpn, ev.asid, ev.size, ev.frame);
-                    let ctx = self.epoch.ctx();
-                    self.hier.access(line, true, MemClass::PomTlb, &ctx);
-                }
-            }
-            TranslationMechanism::Victima(_) | TranslationMechanism::VictimaAgnostic(_) => {
-                self.victima_eviction_flow(ev, ev_va);
-            }
-            TranslationMechanism::VictimaPom(..) => {
-                if let Some(pom) = self.pom.as_mut() {
-                    let line = pom.insert(ev.vpn, ev.asid, ev.size, ev.frame);
-                    let ctx = self.epoch.ctx();
-                    self.hier.access(line, true, MemClass::PomTlb, &ctx);
-                }
-                self.victima_eviction_flow(ev, ev_va);
-            }
-            _ => {}
+        // Spill the evicted entry to the in-memory TLB (off the critical
+        // path: traffic only).
+        if let Some(pom) = self.pom.as_mut() {
+            let line = pom.insert(ev.vpn, ev.asid, ev.size, ev.frame);
+            let ctx = self.epoch.ctx();
+            self.hier.access(line, true, MemClass::PomTlb, &ctx);
         }
+        self.victima_eviction_flow(ev, BlockKind::Tlb);
     }
 
-    /// Victima's L2-TLB-eviction flow: predictor + background walk +
-    /// block transformation (Fig. 14, right path). The background walk
-    /// generates real cache traffic but no core stall.
-    fn victima_eviction_flow(&mut self, ev: TlbEntry, ev_va: VirtAddr) {
-        if self.cfg.mode != ExecMode::Native {
-            self.victima_eviction_flow_virt(ev, ev_va);
+    /// Victima's eviction flow for an entry displaced from the L2 TLB
+    /// (`BlockKind::Tlb`, Fig. 14, right path) or from the nested TLB
+    /// (`BlockKind::NestedTlb`, Fig. 18): predictor, background walk, then
+    /// block transformation. The background walk generates real cache
+    /// traffic but no core stall.
+    pub(crate) fn victima_eviction_flow(&mut self, ev: TlbEntry, kind: BlockKind) {
+        let Some(v) = self.victima.as_mut() else {
             return;
-        }
+        };
+        let ev_va = VirtAddr::new(ev.vpn << ev.size.shift());
+        let mode = self.cfg.mode;
+        // Nested-guest TLB entries may be splintered; their TLB block is
+        // keyed by the guest page size.
+        let size = if kind == BlockKind::Tlb && mode == ExecMode::VirtualizedNested {
+            self.proc.memory.page_size(ev_va).unwrap_or(PageSize::Size4K)
+        } else {
+            ev.size
+        };
         let ctx = self.epoch.ctx();
-        let v = self.victima.as_mut().expect("victima mechanism has an engine");
         if !v.wants_eviction_insert(
             self.hier.l2(),
             ev_va,
             ev.asid,
-            BlockKind::Tlb,
-            ev.size,
+            kind,
+            size,
             ev.ptw_freq,
             ev.ptw_cost,
             &ctx,
@@ -867,13 +876,13 @@ impl System {
         if let Some(m) = &self.metrics {
             m.inc(m.victima_bg_walk);
         }
-        let Memory::Native { aspace, .. } = &mut self.proc.memory else {
-            unreachable!("native flow");
+        let walk = match self.proc.memory.walk_table(mode, kind) {
+            Some(pt) => self.bg_walker.walk(pt, ev_va, ev.asid, &mut self.hier, &ctx),
+            None => Some(self.nested_walk(ev_va, false).1),
         };
-        let walk = self.bg_walker.walk(&mut aspace.page_table, ev_va, ev.asid, &mut self.hier, &ctx);
         if let Some(w) = walk {
             let v = self.victima.as_mut().expect("checked above");
-            if v.insert_after_eviction_walk(self.hier.l2_mut(), ev_va, ev.asid, BlockKind::Tlb, &w, &ctx) {
+            if v.insert_after_eviction_walk(self.hier.l2_mut(), ev_va, ev.asid, kind, &w, &ctx) {
                 self.stats.victima_inserts += 1;
                 if let Some(m) = &self.metrics {
                     m.inc(m.victima_insert);
@@ -882,10 +891,14 @@ impl System {
         }
     }
 
-    /// Resolves an L2 TLB miss in native mode.
+    /// Resolves an L2 TLB miss. One pipeline serves every mode: hardware
+    /// L3 TLB → Fig. 10 ideal backstop → Victima's L2-cache probe →
+    /// POM-TLB lookup → page-table walk → post-walk inserts. Only the
+    /// walk depends on the mode (native radix, I-SP shadow table, or the
+    /// nested 2D walk).
     pub(crate) fn resolve_l2_miss(&mut self, va: VirtAddr) -> MissResolution {
-        debug_assert_eq!(self.cfg.mode, ExecMode::Native);
         let ctx = self.epoch.ctx();
+        let asid = self.proc.asid;
         let mut latency: Cycles = 0;
         let mut components = [0u64; 4];
 
@@ -894,7 +907,7 @@ impl System {
             latency += l3.latency();
             components[2] += l3.latency();
             for size in PageSize::ALL {
-                if let Some(e) = l3.probe(va.vpn(size), self.proc.asid, size) {
+                if let Some(e) = l3.probe(va.vpn(size), asid, size) {
                     self.stats.l3_tlb_hits += 1;
                     if let Some(m) = &self.metrics {
                         m.inc(m.l3_tlb_hit);
@@ -908,20 +921,20 @@ impl System {
         if let TranslationMechanism::IdealBackstop(l) = self.cfg.mechanism {
             latency += l;
             components[1] += l;
-            let entry = self.software_entry(va);
+            let entry = self.proc.memory.soft_entry(va, asid, None).expect("mapped");
             return MissResolution { entry, latency, components };
         }
 
         // Victima: probe the L2 cache for a TLB block in parallel with the
-        // walk (Fig. 17). A tag hit still requires the cluster's PTE to
+        // walk (Figs. 17/19). A tag hit still requires the cluster's PTE to
         // actually map this VA (a 2MB-view block spans 16MB that may also
         // contain 4KB-mapped chunks); on a stale view the parallel PTW
-        // simply continues, costing nothing extra.
+        // simply continues, costing nothing extra. Virtualised blocks
+        // store direct gVA→hPA mappings, so a hit skips both the guest
+        // and the host walk.
         if let Some(v) = self.victima.as_mut() {
-            if let Some(hit) = v.probe(self.hier.l2_mut(), va, self.proc.asid, BlockKind::Tlb, &ctx) {
-                // One software walk validates the view *and* composes the
-                // entry (the hardware reads the PTE out of the hit block).
-                if let Some(entry) = self.software_entry_if_sized(va, hit.size) {
+            if let Some(hit) = v.probe(self.hier.l2_mut(), va, asid, BlockKind::Tlb, &ctx) {
+                if let Some(entry) = self.proc.memory.soft_entry(va, asid, Some(hit.size)) {
                     let l2c = self.hier.l2().latency();
                     latency += l2c;
                     components[1] += l2c;
@@ -940,11 +953,11 @@ impl System {
             let mut hit: Option<TlbEntry> = None;
             let mut pom_lat: Cycles = 0;
             for size in PageSize::ALL {
-                let lk = pom.lookup(va.vpn(size), self.proc.asid, size);
+                let lk = pom.lookup(va.vpn(size), asid, size);
                 let r = self.hier.access(lk.line, false, MemClass::PomTlb, &ctx);
                 pom_lat = pom_lat.max(r.latency);
                 if let Some(frame) = lk.frame {
-                    hit = Some(TlbEntry::new(va.vpn(size), self.proc.asid, size, frame));
+                    hit = Some(TlbEntry::new(va.vpn(size), asid, size, frame));
                     break;
                 }
             }
@@ -964,16 +977,20 @@ impl System {
         }
 
         // The page-table walk.
-        let Memory::Native { aspace, .. } = &mut self.proc.memory else {
-            unreachable!("native flow");
+        let (entry, walk, host_lat) = match self.proc.memory.walk_table(self.cfg.mode, BlockKind::Tlb) {
+            Some(pt) => {
+                let w = self
+                    .walker
+                    .walk(pt, va, asid, &mut self.hier, &ctx)
+                    .unwrap_or_else(|| panic!("page fault at {va}: workload touched an unmapped page"));
+                (entry_from(va, asid, w.page_size, w.frame, w.leaf_pte), w, 0)
+            }
+            None => self.nested_walk(va, true),
         };
-        let walk = self
-            .walker
-            .walk(&mut aspace.page_table, va, self.proc.asid, &mut self.hier, &ctx)
-            .unwrap_or_else(|| panic!("page fault at {va}: workload touched an unmapped page"));
         self.stats.ptws += 1;
-        latency += walk.latency;
+        latency += walk.latency + host_lat;
         components[2] += walk.latency;
+        components[3] += host_lat;
         // A walk that touched fewer memory levels than the radix depth
         // was largely served by the page-walk caches.
         let pwc_hit = walk.memory_accesses < 4 && walk.page_size == PageSize::Size4K
@@ -985,17 +1002,8 @@ impl System {
             m.observe(m.walk_latency, walk.latency);
         }
         if let Some(t) = self.tracker.as_mut() {
-            t.on_walk(self.proc.asid, va, walk.page_size, walk.latency, walk.dram_touched, pwc_hit);
+            t.on_walk(asid, va, walk.page_size, walk.latency, walk.dram_touched, pwc_hit);
         }
-
-        let entry = TlbEntry::with_counters(
-            va.vpn(walk.page_size),
-            self.proc.asid,
-            walk.page_size,
-            walk.frame,
-            walk.leaf_pte.ptw_freq(),
-            walk.leaf_pte.ptw_cost(),
-        );
 
         // Post-walk insertions.
         if let Some(l3) = self.l3_tlb.as_mut() {
@@ -1006,7 +1014,7 @@ impl System {
             self.hier.access(line, true, MemClass::PomTlb, &ctx);
         }
         if let Some(v) = self.victima.as_mut() {
-            if v.insert_after_walk(self.hier.l2_mut(), va, self.proc.asid, BlockKind::Tlb, &walk, &ctx) {
+            if v.insert_after_walk(self.hier.l2_mut(), va, asid, BlockKind::Tlb, &walk, &ctx) {
                 self.stats.victima_inserts += 1;
                 if let Some(m) = &self.metrics {
                     m.inc(m.victima_insert);
@@ -1014,30 +1022,6 @@ impl System {
             }
         }
         MissResolution { entry, latency, components }
-    }
-
-    /// Builds a TLB entry from the page table without timing (used by the
-    /// ideal backstop and by Victima probe hits, where the hardware reads
-    /// the PTE straight out of the hit block).
-    pub(crate) fn software_entry(&self, va: VirtAddr) -> TlbEntry {
-        let Memory::Native { aspace, .. } = &self.proc.memory else {
-            unreachable!("native helper");
-        };
-        let walk = aspace.page_table.walk(va).expect("mapped");
-        soft_walk_entry(va, self.proc.asid, &walk)
-    }
-
-    /// Composes the TLB entry for `va` when the mapping's page size
-    /// matches `size` — the Victima probe-hit view validation. One radix
-    /// walk serves both the size check and the entry composition (this
-    /// used to be two back-to-back software walks: `page_size_of` followed
-    /// by a `software_entry` re-walk).
-    pub(crate) fn software_entry_if_sized(&self, va: VirtAddr, size: PageSize) -> Option<TlbEntry> {
-        let Memory::Native { aspace, .. } = &self.proc.memory else {
-            unreachable!("native helper");
-        };
-        let walk = aspace.page_table.walk(va)?;
-        (walk.page_size == size).then(|| soft_walk_entry(va, self.proc.asid, &walk))
     }
 
     /// Finalises aggregate statistics from component counters. Call after
@@ -1185,15 +1169,16 @@ impl System {
     }
 }
 
-/// Composes a TLB entry from a completed software radix walk.
+/// A TLB entry for `va`'s page of `size` at 4KB frame `frame`, carrying
+/// the leaf PTE's predictor counters.
 #[inline]
-pub(crate) fn soft_walk_entry(va: VirtAddr, asid: Asid, walk: &page_table::Walk) -> TlbEntry {
-    TlbEntry::with_counters(
-        va.vpn(walk.page_size),
-        asid,
-        walk.page_size,
-        walk.frame,
-        walk.leaf_pte.ptw_freq(),
-        walk.leaf_pte.ptw_cost(),
-    )
+pub(crate) fn entry_from(va: VirtAddr, asid: Asid, size: PageSize, frame: u64, leaf: Pte) -> TlbEntry {
+    TlbEntry::with_counters(va.vpn(size), asid, size, frame, leaf.ptw_freq(), leaf.ptw_cost())
+}
+
+/// The physical address of `va` in the page of `size` whose base is the
+/// 4KB frame `frame` (the TLB entries' frame convention).
+#[inline]
+pub(crate) fn frame_pa(frame: u64, size: PageSize, va: VirtAddr) -> PhysAddr {
+    PhysAddr::from_frame(frame >> (size.shift() - 12), size, va.page_offset(size))
 }

@@ -16,7 +16,7 @@
 
 mod alloc_count;
 
-use sim::{ObsMode, RunSpec, SimEngine, System, SystemConfig};
+use sim::{ObsMode, RunSpec, SimEngine, System, SystemConfig, TranslationMechanism};
 use workloads::{registry, Scale};
 
 /// Warm a system up with metrics recording live, then assert the
@@ -61,14 +61,42 @@ fn metric_recording_is_allocation_free_in_steady_state() {
 
 #[test]
 fn observability_cannot_change_results() {
-    for config in ["radix", "victima", "pom"] {
-        let cfg = SystemConfig::by_name(config).expect("known config");
+    let configs = [
+        SystemConfig::radix(),
+        SystemConfig::victima(),
+        SystemConfig::pom_tlb(),
+        SystemConfig::nested_paging(),
+        SystemConfig::ideal_shadow_paging(),
+        SystemConfig::pom_tlb_virt(),
+        SystemConfig::victima_virt(),
+    ];
+    for cfg in configs {
+        let config = cfg.name.clone();
+        let victima = cfg.mechanism.is_victima();
+        let pom = matches!(cfg.mechanism, TranslationMechanism::PomTlb(_));
         let spec = RunSpec::new("RND", cfg, Scale::Tiny, 2_000, 20_000);
         let off = SimEngine::run_one_observed(0, &spec, &mut Default::default(), ObsMode::Off);
         let full = SimEngine::run_one_observed(0, &spec, &mut Default::default(), ObsMode::Full);
         assert_eq!(off.stats, full.stats, "{config}: obs must be invisible to SimStats");
         assert!(off.spans.is_empty() && off.metrics.is_none(), "{config}: Off collects nothing");
         assert!(!full.spans.is_empty(), "{config}: Full collects phase spans");
-        assert!(full.metrics.is_some(), "{config}: Full collects metrics");
+
+        // Every exec mode runs the same miss pipeline, so every mode
+        // records the walk, Victima and POM-TLB metrics.
+        let metrics = full.metrics.expect("Full collects metrics");
+        let counter = |name: &str| match metrics.iter().find(|(n, _)| n == name) {
+            Some((_, obs::MetricValue::Counter(n))) => *n,
+            other => panic!("{config}: {name} is not a registered counter: {other:?}"),
+        };
+        assert!(counter("sim.ptw.walks") > 0, "{config}: no walks recorded");
+        if victima {
+            assert!(counter("sim.victima.hit") > 0, "{config}: no Victima hits recorded");
+        }
+        if pom {
+            assert!(
+                counter("sim.pom.hit") + counter("sim.pom.miss") > 0,
+                "{config}: no POM-TLB lookups recorded"
+            );
+        }
     }
 }

@@ -165,19 +165,13 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Builds the plan a daemon should run under from the environment:
-    /// [`FAULTS_ENV`] (full grammar) plus the legacy
-    /// [`crate::worker::CRASH_ENV`] knob, which maps to `abort=<workload>`
-    /// — the ad-hoc crash switch this plan subsumes.
+    /// Builds the plan a daemon should run under from [`FAULTS_ENV`]
+    /// (full grammar); the empty plan when it is unset.
     pub fn from_env() -> Result<Self, String> {
-        let mut plan = match std::env::var(FAULTS_ENV) {
-            Ok(spec) => Self::parse(&spec)?,
-            Err(_) => Self::none(),
-        };
-        if let Ok(workload) = std::env::var(crate::worker::CRASH_ENV) {
-            plan.directives.push(Directive::Abort { workload, prob: 1.0 });
+        match std::env::var(FAULTS_ENV) {
+            Ok(spec) => Self::parse(&spec),
+            Err(_) => Ok(Self::none()),
         }
-        Ok(plan)
     }
 
     /// The fault (if any) to inject into `attempt` of the spec whose
@@ -419,14 +413,5 @@ mod tests {
             assert_eq!(WorkerFault::from_wire(&f.wire()).unwrap(), f);
         }
         assert!(WorkerFault::from_wire("melt").is_err());
-    }
-
-    #[test]
-    fn crash_env_maps_to_an_abort_directive() {
-        std::env::set_var(crate::worker::CRASH_ENV, "BC");
-        let plan = FaultPlan::from_env().unwrap();
-        std::env::remove_var(crate::worker::CRASH_ENV);
-        assert_eq!(plan.worker_fault("BC", 3, 0), Some(WorkerFault::Abort));
-        assert_eq!(plan.worker_fault("RND", 3, 0), None);
     }
 }

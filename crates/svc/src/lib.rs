@@ -53,4 +53,4 @@ pub use proto::{
     parse_request, parse_stream_line, MetricsInfo, Request, SpecDesc, StatusInfo, StreamLine, SweepRequest,
     PROTO_ID,
 };
-pub use worker::{run_spec, worker_main, WorkerBackend, CRASH_ENV, WORKER_ARG};
+pub use worker::{run_spec, worker_main, WorkerBackend, WORKER_ARG};

@@ -39,11 +39,6 @@ use std::time::Duration;
 /// The hidden CLI subcommand that enters [`worker_main`].
 pub const WORKER_ARG: &str = "service-worker";
 
-/// Legacy crash-injection knob, subsumed by [`crate::FaultPlan`]: a
-/// daemon started with this set treats it as an `abort=<workload>` fault
-/// directive (see [`crate::FaultPlan::from_env`]).
-pub const CRASH_ENV: &str = "VICTIMA_SVC_CRASH_WORKLOAD";
-
 /// Runs one descriptor to completion, returning its `result` line. The
 /// single execution path shared by the worker process, the in-process
 /// backend, and `submit --local` — which is why all three produce

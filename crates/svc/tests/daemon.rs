@@ -3,7 +3,7 @@
 //! `experiments` binary in `victima-bench`'s service tests).
 
 use std::path::{Path, PathBuf};
-use svc::{DaemonConfig, DaemonHandle, StreamLine, SweepRequest, WorkerBackend};
+use svc::{DaemonConfig, DaemonHandle, FaultPlan, StreamLine, SweepRequest, WorkerBackend};
 use workloads::Scale;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -12,10 +12,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn start_daemon(dir: &Path) -> DaemonHandle {
-    // from_env picks up the legacy CRASH_ENV knob (crash test below) the
-    // same way the real `serve` entry point does.
-    let faults = svc::FaultPlan::from_env().expect("fault env parses");
+fn start_daemon(dir: &Path, faults: FaultPlan) -> DaemonHandle {
     svc::start(DaemonConfig { workers: 2, faults, ..DaemonConfig::new(dir, WorkerBackend::InProcess) })
         .expect("daemon starts")
 }
@@ -42,7 +39,7 @@ fn submit_lines(dir: &Path, req: &SweepRequest) -> (svc::SweepSummary, Vec<Strin
 #[test]
 fn cold_then_warm_submit_is_byte_identical_with_zero_simulation() {
     let dir = tmp_dir("warm");
-    let handle = start_daemon(&dir);
+    let handle = start_daemon(&dir, FaultPlan::none());
     let req = tiny_request(&["RND", "XS"]);
 
     let (cold, cold_lines) = submit_lines(&dir, &req);
@@ -87,7 +84,7 @@ fn cold_then_warm_submit_is_byte_identical_with_zero_simulation() {
 #[test]
 fn malformed_and_invalid_requests_fault_without_side_effects() {
     let dir = tmp_dir("fault");
-    let handle = start_daemon(&dir);
+    let handle = start_daemon(&dir, FaultPlan::none());
 
     let mut bad = tiny_request(&["RND"]);
     bad.configs = vec!["warp-drive".into()];
@@ -106,14 +103,10 @@ fn malformed_and_invalid_requests_fault_without_side_effects() {
 #[test]
 fn crashing_spec_yields_a_typed_error_and_spares_the_sweep() {
     let dir = tmp_dir("crash");
-    // Crash knob: BC is only used by this test, so the env var cannot
-    // perturb the other tests' sweeps even though they share a process.
-    std::env::set_var(svc::CRASH_ENV, "BC");
-    let handle = start_daemon(&dir);
+    let handle = start_daemon(&dir, FaultPlan::parse("abort=BC").expect("valid plan"));
     let req = tiny_request(&["RND", "BC"]);
 
     let (summary, lines) = submit_lines(&dir, &req);
-    std::env::remove_var(svc::CRASH_ENV);
     assert_eq!((summary.specs, summary.results, summary.errors), (4, 2, 2));
     for line in &lines {
         match svc::parse_stream_line(line).unwrap() {
@@ -143,7 +136,7 @@ fn restarted_daemon_resumes_a_journaled_sweep() {
     let journal = svc::Journal::open(dir.join("journal")).unwrap();
     journal.record(&svc::Journal::job_id(1), &req.to_line()).unwrap();
 
-    let handle = start_daemon(&dir);
+    let handle = start_daemon(&dir, FaultPlan::none());
     // The resume runs in the background; poll status until it completes.
     let mut done = false;
     for _ in 0..500 {

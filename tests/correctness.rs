@@ -61,6 +61,8 @@ fn translation_agrees_with_ground_truth_under_all_mechanisms() {
         SystemConfig::pom_tlb(),
         SystemConfig::victima(),
         SystemConfig::victima_agnostic_srrip(),
+        SystemConfig::victima_plus_stlb(),
+        SystemConfig::ideal_backstop(16, "TLB-hit-L2"),
     ];
     let mut rng = SplitMix64::new(42);
     for cfg in configs {

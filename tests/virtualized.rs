@@ -13,16 +13,18 @@ fn tiny_runner() -> Runner {
 #[test]
 fn nested_paging_translates_correctly() {
     let r = tiny_runner();
-    let mut sys = r.build("RND", &SystemConfig::nested_paging());
-    sys.run(60_000);
-    // Spot-check agreement on addresses the workload actually maps.
-    let mut rng = victima_repro::types::SplitMix64::new(11);
-    let mut checked = 0;
-    while checked < 1_000 {
-        let va = victima_repro::types::VirtAddr::new(0x2000_0000 + rng.next_below(60 << 20));
-        if let Some(truth) = sys.ground_truth(va) {
-            assert_eq!(sys.translate_once(va), truth, "NP mistranslated {va}");
-            checked += 1;
+    for cfg in [SystemConfig::nested_paging(), SystemConfig::pom_tlb_virt()] {
+        let mut sys = r.build("RND", &cfg);
+        sys.run(60_000);
+        // Spot-check agreement on addresses the workload actually maps.
+        let mut rng = victima_repro::types::SplitMix64::new(11);
+        let mut checked = 0;
+        while checked < 1_000 {
+            let va = victima_repro::types::VirtAddr::new(0x2000_0000 + rng.next_below(60 << 20));
+            if let Some(truth) = sys.ground_truth(va) {
+                assert_eq!(sys.translate_once(va), truth, "{} mistranslated {va}", cfg.name);
+                checked += 1;
+            }
         }
     }
 }
