@@ -234,8 +234,9 @@ pub struct System {
     /// Optional per-page feature tracker (Table 2 profiling runs).
     pub tracker: Option<FeatureTracker>,
     /// Optional tap on the consumed reference stream (trace recording):
-    /// sees every [`MemRef`] exactly as [`System::step`] consumes it,
-    /// warm-up included, so a recorded trace replays the whole run.
+    /// sees every [`MemRef`] the stream yields (`System::next_ref`),
+    /// warm-up, fast-forwarded and skipped references included, so a
+    /// recorded trace replays the whole run.
     record_hook: Option<Box<dyn FnMut(MemRef)>>,
     /// Optional hot-path metrics ([`crate::obs`]); `None` (the default)
     /// keeps every instrumentation site down to one discriminant test.
