@@ -1,16 +1,18 @@
 //! Pins simulation results.
 //!
 //! Each case runs one spec through `SimEngine::run_one_observed` with
-//! metrics on and hashes with 64-bit FNV-1a:
-//! - `format!("{:?}", stats)`, which renders every `SimStats` counter,
-//!   histogram and `f64`;
-//! - the metric snapshot, for native configs only (the virtualised flows
-//!   are free to gain metric sites without re-recording);
-//! - the Table 1 feature dataset, for feature-tracking runs.
+//! metrics on and records two 64-bit FNV-1a hashes:
+//! - the stats hash, over `format!("{:?}", stats)` (every `SimStats`
+//!   counter, histogram and `f64`) followed by the Table 1 feature
+//!   dataset for feature-tracking runs;
+//! - the metric hash, over the metric snapshot, for native configs only
+//!   (the virtualised flows are free to gain metrics without
+//!   re-recording).
 //!
-//! A refactor of the translation path must leave every fingerprint
+//! A refactor of the translation path must leave every stats hash
 //! unchanged; an intended behaviour change re-records them, and the
-//! `--check` baselines move with it.
+//! `--check` baselines move with it. A change to what the `sim.*`
+//! metrics report re-records only the metric hashes.
 
 use sim::{ExecMode, ObsMode, RunSpec, SamplingConfig, SimEngine, SystemConfig};
 use workloads::Scale;
@@ -25,25 +27,39 @@ fn fnv(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
-fn fingerprint(spec: &RunSpec) -> u64 {
+/// The stats hash and, for native configs, the metric hash of one run.
+fn fingerprint(spec: &RunSpec) -> (u64, Option<u64>) {
     let r = SimEngine::run_one_observed(0, spec, &mut Default::default(), ObsMode::Metrics);
-    let mut h = fnv(FNV_OFFSET, format!("{:?}", r.stats).as_bytes());
-    if spec.config.mode == ExecMode::Native {
-        h = fnv(h, format!("{:?}", r.metrics.expect("metrics enabled")).as_bytes());
-    }
+    let mut stats = fnv(FNV_OFFSET, format!("{:?}", r.stats).as_bytes());
     if let Some(t) = &r.features {
-        h = fnv(h, format!("{:?}", t.dataset(0.2)).as_bytes());
+        stats = fnv(stats, format!("{:?}", t.dataset(0.2)).as_bytes());
     }
-    h
+    let metrics = (spec.config.mode == ExecMode::Native)
+        .then(|| fnv(FNV_OFFSET, format!("{:?}", r.metrics.expect("metrics enabled")).as_bytes()));
+    (stats, metrics)
 }
 
-fn assert_fingerprints(cases: &[(RunSpec, u64)]) {
-    let drifted: Vec<String> = cases
-        .iter()
-        .map(|(spec, want)| (spec, *want, fingerprint(spec)))
-        .filter(|(_, want, got)| want != got)
-        .map(|(spec, want, got)| format!("{}: expected {want:#018x}, got {got:#018x}", spec.label()))
-        .collect();
+/// One case: a spec, its recorded stats hash and (native configs) its
+/// recorded metric hash.
+type Case = (RunSpec, u64, Option<u64>);
+
+fn assert_fingerprints(cases: &[Case]) {
+    let mut drifted = Vec::new();
+    for (spec, want_stats, want_metrics) in cases {
+        let (stats, metrics) = fingerprint(spec);
+        if stats != *want_stats {
+            drifted.push(format!("{} stats: expected {want_stats:#018x}, got {stats:#018x}", spec.label()));
+        }
+        if metrics != *want_metrics {
+            let hex = |h: Option<u64>| h.map_or("none".to_owned(), |h| format!("{h:#018x}"));
+            drifted.push(format!(
+                "{} metrics: expected {}, got {}",
+                spec.label(),
+                hex(*want_metrics),
+                hex(metrics)
+            ));
+        }
+    }
     assert!(drifted.is_empty(), "simulation results drifted:\n{}", drifted.join("\n"));
 }
 
@@ -64,56 +80,80 @@ fn config(key: &str) -> SystemConfig {
     }
 }
 
+/// The recorded metric hashes of `key`, which must exist exactly for
+/// native configs.
+fn metric_hashes<const N: usize>(table: &[(&str, [u64; N])], key: &str) -> Option<[u64; N]> {
+    let hashes = table.iter().find(|(k, _)| *k == key).map(|(_, h)| *h);
+    let native = config(key).mode == ExecMode::Native;
+    assert_eq!(hashes.is_some(), native, "{key}: metric hashes are recorded for native configs only");
+    hashes
+}
+
 /// Full-detail runs: every config over {RND, XS, BFS, TC} at Tiny.
 #[test]
 fn detailed_runs_match_recorded_fingerprints() {
-    let recorded: &[(&str, [u64; 4])] = &[
-        ("radix", [0x4841bbd178244539, 0x3f9d927e267c8fa8, 0xcec8b9d99f46a772, 0xa9eecb6803eb48e3]),
-        ("l3tlb", [0xd59a10e19d2f7c03, 0x345fd405dd9523a6, 0x1dca222dc46c5e1a, 0x95f91dd4517b5095]),
-        ("pom", [0xe17641c81df7c2fc, 0x79a1f797c69dfeb0, 0x103450cb08657569, 0xc70e299eebfd4280]),
-        ("victima", [0x3069a9ee42face09, 0xee4c0b8d5c308e1f, 0xd68694b06bca90f0, 0xd5ac8736ddfef5c2]),
-        ("victima+stlb", [0x2a421fc7260ba9a2, 0x2076eaf47926db2b, 0x2bd509f992223e0c, 0xca3579522a20fbbd]),
-        ("agnostic", [0x3069a9ee42face09, 0x23018d085d82da9d, 0xd68694b06bca90f0, 0xd5ac8736ddfef5c2]),
-        ("ideal", [0xfd540eeec606e60d, 0x93324099e5e31d1a, 0x34ebee9bd406b641, 0xcae23efbab2ebf93]),
+    let stats: &[(&str, [u64; 4])] = &[
+        ("radix", [0x2bda0609b554309e, 0xb31b39df8380bf90, 0xcbd9b4d2fc7163a1, 0xa58e559fe91ce4a4]),
+        ("l3tlb", [0xbfa090e6c0b447ca, 0xc8ad360fd53f949a, 0x52a51074b3b470e0, 0x8e8c9b3188120aae]),
+        ("pom", [0x34b266f42502859a, 0xcd04b1fefa70812e, 0x7c4a966697671919, 0x3e3408af027b265e]),
+        ("victima", [0x0a74590faa9be5ab, 0x09707e0e626669f0, 0x12a41e752127537b, 0xc3dea47e7a321082]),
+        ("victima+stlb", [0x2185e097cb0914e9, 0x0b6632015930495c, 0x3f363f52279561f1, 0x908ce7ffe14e4326]),
+        ("agnostic", [0x0a74590faa9be5ab, 0xac891987918c6572, 0x12a41e752127537b, 0xc3dea47e7a321082]),
+        ("ideal", [0x6a4a7bc7535011c1, 0x108b07e6f5a5c6b6, 0x29557f94fcd848d9, 0xa1f957fd17b3d5eb]),
         ("np", [0xd4d0e02609bbd50e, 0xf922c43a521a3d7a, 0xf976859c46edd6f5, 0x14b183dea1f6be3e]),
         ("pom-virt", [0x6ebb046beac9e55a, 0x001a7d1b5329b010, 0x03e46838f2a5e944, 0xa07dfd66ebdd3750]),
         ("isp", [0xe3c44e8b12c19cf8, 0x6a226cfda2145a97, 0xbe77b8156af8f747, 0x3dd3a1b6684fda2e]),
         ("victima-virt", [0x81ad7daa5e2f694f, 0x471b029a8fc56948, 0xcf00400699532a81, 0xd98e8a2cfa31f1ad]),
     ];
-    let cases: Vec<(RunSpec, u64)> = recorded
+    let metrics: &[(&str, [u64; 4])] = &[
+        ("radix", [0x0b795d13996eab86, 0x7dacb190f8691381, 0xfe3539b5fbf6ca5e, 0x75bea906e56e82d0]),
+        ("l3tlb", [0x19e0c86bf53844d8, 0x652f6b5f983f92a9, 0x3122428ce6e714fb, 0xae7aded817f0f7c6]),
+        ("pom", [0xa32d11704a9e8d19, 0xd9cf79cca4923393, 0x4e930914a487cc55, 0x831966eb5e5eb48d]),
+        ("victima", [0x67ae0a707b1e43e7, 0xe14ec4a543163bda, 0x836368eaf6444dd6, 0x928904c5c98cb5bf]),
+        ("victima+stlb", [0x577c7aed2ae50a8e, 0x0141ab6766fb046c, 0xa7925875461f2d18, 0x8306d3049a74d618]),
+        ("agnostic", [0x67ae0a707b1e43e7, 0x732f933bffaf95ae, 0x836368eaf6444dd6, 0x928904c5c98cb5bf]),
+        ("ideal", [0x0cb50fc9a4cdb2b1, 0xbac00e433105dd21, 0x91a74be5818663ed, 0xca8ee3b7991f202d]),
+    ];
+    let cases: Vec<Case> = stats
         .iter()
         .flat_map(|&(key, hashes)| {
-            ["RND", "XS", "BFS", "TC"]
-                .into_iter()
-                .zip(hashes)
-                .map(move |(w, h)| (RunSpec::new(w, config(key), Scale::Tiny, WARMUP, INSTRUCTIONS), h))
+            let metrics = metric_hashes(metrics, key);
+            ["RND", "XS", "BFS", "TC"].into_iter().enumerate().map(move |(i, w)| {
+                let spec = RunSpec::new(w, config(key), Scale::Tiny, WARMUP, INSTRUCTIONS);
+                (spec, hashes[i], metrics.map(|m| m[i]))
+            })
         })
         .collect();
     assert_fingerprints(&cases);
 }
 
-/// A sampled BFS run and a feature-tracking RND run per config.
+/// A sampled BFS run and a feature-tracking RND run per config; each
+/// table row holds the `[sampled, features]` hashes.
 #[test]
 fn sampled_and_feature_runs_match_recorded_fingerprints() {
     let sampling = SamplingConfig::parse("40000:4000:2000").expect("valid schedule");
-    let recorded: &[(&str, u64, u64)] = &[
-        ("radix", 0xb1ea9ac66747cef6, 0x2f8874c50a552a96),
-        ("victima", 0xc33fe40f5d96f183, 0xebb40a9be952c7c7),
-        ("pom", 0x3254a00f36b436ee, 0xb922b55cf538cc25),
+    let stats: &[(&str, [u64; 2])] = &[
+        ("radix", [0x36669e6ce59397ef, 0x2b0e154803c89ae5]),
+        ("victima", [0x74d2b79ef84bf78f, 0xb93ef955431ba629]),
+        ("pom", [0xfa5fc42d9eb42e46, 0x4ad26f28216cc14f]),
     ];
-    let cases: Vec<(RunSpec, u64)> = recorded
+    let metrics: &[(&str, [u64; 2])] = &[
+        ("radix", [0x7f386c485af03ecc, 0x0b795d13996eab86]),
+        ("victima", [0xdec769dd44de1659, 0x67ae0a707b1e43e7]),
+        ("pom", [0x103431e7a751681d, 0xa32d11704a9e8d19]),
+    ];
+    let cases: Vec<Case> = stats
         .iter()
-        .flat_map(|&(key, sampled, features)| {
-            [
-                (
-                    RunSpec::new("BFS", config(key), Scale::Tiny, WARMUP, 400_000).with_sampling(sampling),
-                    sampled,
-                ),
-                (
-                    RunSpec::new("RND", config(key), Scale::Tiny, WARMUP, INSTRUCTIONS).with_features(),
-                    features,
-                ),
-            ]
+        .flat_map(|&(key, hashes)| {
+            let metrics = metric_hashes(metrics, key);
+            let sampled =
+                RunSpec::new("BFS", config(key), Scale::Tiny, WARMUP, 400_000).with_sampling(sampling);
+            let features =
+                RunSpec::new("RND", config(key), Scale::Tiny, WARMUP, INSTRUCTIONS).with_features();
+            [sampled, features]
+                .into_iter()
+                .enumerate()
+                .map(move |(i, spec)| (spec, hashes[i], metrics.map(|m| m[i])))
         })
         .collect();
     assert_fingerprints(&cases);
