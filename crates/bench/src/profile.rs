@@ -37,6 +37,7 @@ const HEADLINE: &[&str] = &[
     "sim.pwc.hit",
     "sim.pwc.miss",
     "sim.victima.hit",
+    "sim.host.walks",
     "sim.cache.l3.miss",
 ];
 

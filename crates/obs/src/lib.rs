@@ -5,10 +5,12 @@
 //!
 //! * [`metrics`] — a registry of counters, gauges, and fixed-bucket
 //!   histograms stored as flat `u64` words (atomic, so one registry can
-//!   be shared across daemon threads). Registration allocates; the
-//!   update path is a bounds-checked index plus a relaxed atomic add —
-//!   no allocation, no locks, no branches beyond the caller's
-//!   enabled-check.
+//!   be shared across daemon threads), plus the decoded snapshot types
+//!   ([`MetricValue`], [`HistSnapshot`]) and [`merge_snapshots`].
+//!   Registration allocates; the update path is a bounds-checked index
+//!   plus a relaxed atomic add — no allocation, no locks. The simulator
+//!   does not record through a registry at all: it builds snapshots
+//!   from the counters it already keeps, once per measured window.
 //! * [`span`] — structured span tracing: named phases with monotonic
 //!   microsecond timings ([`vm_types::MonotonicClock`]) and numeric
 //!   fields, plus a self-time aggregator for phase-breakdown reports.
@@ -21,8 +23,7 @@
 //! exist only in side channels: profile artifacts, the daemon log, and
 //! the `metrics` protocol response. The simulator enforces this by
 //! keeping the whole layer behind `Option` handles that default to
-//! `None` — disabled means not one instruction of overhead on the hot
-//! path beyond the `Option` check.
+//! `None`, read only at window boundaries — never on the hot path.
 //!
 //! # Examples
 //!
@@ -43,5 +44,5 @@
 pub mod metrics;
 pub mod span;
 
-pub use metrics::{merge_snapshots, HistSnapshot, LocalBuf, MetricId, MetricValue, Registry, HIST_BUCKETS};
+pub use metrics::{merge_snapshots, HistSnapshot, MetricId, MetricValue, Registry, HIST_BUCKETS};
 pub use span::{aggregate, PhaseAgg, SpanEvent, Tracer};

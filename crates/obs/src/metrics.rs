@@ -6,10 +6,9 @@
 //! addressed by a [`MetricId`] handed out at registration time. Updates
 //! are relaxed atomic adds/stores — safe to share across the daemon's
 //! dispatcher threads via `Arc<Registry>`, and free of allocation, locks
-//! and syscalls. Single-owner recorders (the simulator, which fires
-//! several events per memory reference) should record through a
-//! [`LocalBuf`] instead — plain `Cell` adds, no locked RMW per event —
-//! and drain it into the registry at snapshot time.
+//! and syscalls. Callers that keep their own counters (the simulator)
+//! skip the registry and build snapshots directly: [`MetricValue`]
+//! rows, with [`HistSnapshot::record`] for distributions.
 //!
 //! Histograms use [`HIST_BUCKETS`] power-of-two buckets plus dedicated
 //! count and sum words: bucket 0 holds zero-valued observations, bucket
@@ -17,7 +16,6 @@
 //! That fixed shape keeps `observe` branch-free (a `leading_zeros` and
 //! two adds) and makes snapshots mergeable by plain addition.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of power-of-two buckets per histogram.
@@ -62,6 +60,13 @@ impl HistSnapshot {
         } else {
             self.sum as f64 / self.count as f64
         }
+    }
+
+    /// Records one observation (allocation-free).
+    pub fn record(&mut self, v: u64) {
+        self.count += 1;
+        self.sum += v;
+        self.buckets[bucket_of(v)] += 1;
     }
 
     /// Adds another snapshot's populations into this one.
@@ -213,100 +218,6 @@ impl Registry {
     }
 }
 
-impl Registry {
-    /// A single-writer shadow of this registry's word arena, with every
-    /// metric at the same [`MetricId`] offsets.
-    ///
-    /// The registry's atomic updates are what make it shareable, but a
-    /// relaxed `fetch_add` is still a locked RMW — too expensive for a
-    /// caller recording several events per simulated memory reference.
-    /// A `LocalBuf` trades sharing for speed: plain [`Cell`] words (an
-    /// ordinary register add), accumulated privately and drained into
-    /// the registry's atomics by [`LocalBuf::flush_into`]. Snapshots
-    /// and cross-thread merging stay on the atomic side.
-    pub fn local_buf(&self) -> LocalBuf {
-        LocalBuf {
-            specs: self.specs.iter().map(|(_, kind, word)| (*kind, *word)).collect(),
-            words: (0..self.words.len()).map(|_| Cell::new(0)).collect(),
-        }
-    }
-}
-
-/// Single-writer metric buffer; see [`Registry::local_buf`].
-///
-/// `!Sync` by construction (`Cell` storage): one owner records, and the
-/// deltas only become visible to other threads after a flush.
-#[derive(Debug)]
-pub struct LocalBuf {
-    specs: Vec<(Kind, u32)>,
-    words: Vec<Cell<u64>>,
-}
-
-impl LocalBuf {
-    #[inline]
-    fn bump(&self, i: usize, n: u64) {
-        let w = &self.words[i];
-        w.set(w.get().wrapping_add(n));
-    }
-
-    /// Adds `n` to a counter (allocation-free, non-atomic).
-    #[inline]
-    pub fn add(&self, id: MetricId, n: u64) {
-        debug_assert_eq!(id.kind, Kind::Counter);
-        self.bump(id.word as usize, n);
-    }
-
-    /// Increments a counter by one.
-    #[inline]
-    pub fn inc(&self, id: MetricId) {
-        self.add(id, 1);
-    }
-
-    /// Stores a gauge level.
-    #[inline]
-    pub fn set(&self, id: MetricId, v: u64) {
-        debug_assert_eq!(id.kind, Kind::Gauge);
-        self.words[id.word as usize].set(v);
-    }
-
-    /// Records one histogram observation.
-    #[inline]
-    pub fn observe(&self, id: MetricId, v: u64) {
-        debug_assert_eq!(id.kind, Kind::Histogram);
-        let base = id.word as usize;
-        self.bump(base, 1);
-        self.bump(base + 1, v);
-        self.bump(base + 2 + bucket_of(v), 1);
-    }
-
-    /// Drains the buffered deltas into `reg`'s atomic words: counter and
-    /// histogram words are added then zeroed locally (so flushing twice
-    /// never double-counts); gauge words are stored (last write wins).
-    /// `reg` must be the registry this buffer was created from.
-    pub fn flush_into(&self, reg: &Registry) {
-        debug_assert_eq!(self.words.len(), reg.words.len(), "LocalBuf flushed into a foreign registry");
-        for &(kind, word) in &self.specs {
-            let base = word as usize;
-            match kind {
-                Kind::Gauge => reg.words[base].store(self.words[base].get(), Ordering::Relaxed),
-                Kind::Counter => self.drain_word(reg, base),
-                Kind::Histogram => {
-                    for i in base..base + HIST_WORDS {
-                        self.drain_word(reg, i);
-                    }
-                }
-            }
-        }
-    }
-
-    fn drain_word(&self, reg: &Registry, i: usize) {
-        let v = self.words[i].replace(0);
-        if v != 0 {
-            reg.words[i].fetch_add(v, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Merges one snapshot into an accumulator (by name): counters and
 /// histograms add, gauges keep the maximum (they track pressure
 /// high-water marks across runs). Unseen names are appended in order.
@@ -358,37 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn local_buf_accumulates_and_drains_exactly_once() {
-        let mut reg = Registry::new();
-        let c = reg.counter("c");
-        let g = reg.gauge("g");
-        let h = reg.histogram("h");
-        let buf = reg.local_buf();
-        buf.inc(c);
-        buf.add(c, 4);
-        buf.set(g, 9);
-        buf.observe(h, 3);
-        buf.observe(h, 100);
-        // Nothing visible before the flush.
-        assert_eq!(reg.value(c), 0);
-        buf.flush_into(&reg);
-        assert_eq!(reg.value(c), 5);
-        assert_eq!(reg.value(g), 9);
-        let snap = reg.histogram_snapshot(h);
-        assert_eq!((snap.count, snap.sum), (2, 103));
-        // A second flush is a no-op for drained counters/histograms and
-        // re-stores the gauge: no double counting.
-        buf.flush_into(&reg);
-        assert_eq!(reg.value(c), 5);
-        assert_eq!(reg.value(g), 9);
-        assert_eq!(reg.histogram_snapshot(h).count, 2);
-        // New deltas after a flush land on top of the old total.
-        buf.inc(c);
-        buf.flush_into(&reg);
-        assert_eq!(reg.value(c), 6);
-    }
-
-    #[test]
     fn histogram_observe_and_snapshot() {
         let mut reg = Registry::new();
         let h = reg.histogram("h");
@@ -403,6 +283,12 @@ mod tests {
         assert_eq!(snap.buckets[2], 2);
         assert_eq!(snap.buckets[bucket_of(100)], 1);
         assert!((snap.mean() - 21.4).abs() < 1e-9);
+        // A directly recorded snapshot matches the registry's.
+        let mut direct = HistSnapshot::default();
+        for v in [0, 1, 3, 3, 100] {
+            direct.record(v);
+        }
+        assert_eq!(direct, snap);
     }
 
     #[test]

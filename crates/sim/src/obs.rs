@@ -1,21 +1,19 @@
-//! Simulator-side observability: the hot-path metric set and the
+//! Simulator-side observability: the `sim.*` metric view and the
 //! engine's enablement knob.
 //!
-//! [`SimMetrics`] registers one [`obs::Registry`] entry per hot-path
-//! flow — TLB/cache/PWC hits and misses, walk depths and latencies,
-//! prefetch fills, frame-pool pressure — and hands the `Copy` metric ids
-//! to [`crate::system::System`]'s instrumentation sites. The whole
-//! struct lives behind an `Option` on the system (the same pattern as
-//! the trace record hook and the feature tracker), so a disabled run
-//! pays exactly one `Option` discriminant test per site and allocates
-//! nothing (`crates/sim/tests/obs_overhead.rs` pins this). Enabled
-//! recording goes through an [`obs::LocalBuf`] — the system owns its
-//! metric set exclusively, so the hot path pays a plain `Cell` add,
-//! not an atomic RMW; deltas drain into the shared registry when a
-//! snapshot is taken.
+//! The metrics are a view over the measured window, not a second set of
+//! counters. The hot path counts each event once, in
+//! [`crate::stats::SimStats`], a component's own stats or the
+//! always-on `WalkProfile`; [`crate::system::System::finalize_stats`]
+//! reads those counts into one table of readings (`window_readings`)
+//! and folds it into the [`SimMetrics`] totals. So `sim.*` covers
+//! exactly the instructions `SimStats` covers — warm-up and the
+//! sampling loop's warm windows excluded — in every exec mode, and a
+//! disabled run pays nothing beyond the walk profile's few adds per
+//! walk. Counters and histograms sum over finalized windows; gauges
+//! are read at finalize and keep their high-water mark across windows
+//! (workloads allocate no frames after set-up).
 //!
-//! Metrics mirror deterministic simulation events and *span the whole
-//! execution* (warm-up included) — they are diagnostics, not results.
 //! [`crate::stats::SimStats`] remains the sole source of `--check`
 //! truth; nothing here feeds a fingerprint or a baseline artifact.
 //!
@@ -26,16 +24,17 @@
 //! (`sim.ptw.depth` observes per-walk memory accesses). The daemon's
 //! registry uses the `svc.` root; see DESIGN.md "Observability".
 
-use obs::{HistSnapshot, LocalBuf, MetricId, MetricValue, Registry};
-use std::sync::Arc;
+use crate::system::System;
+use mem_sim::CacheStats;
+use obs::{HistSnapshot, MetricValue};
 
 /// Whether (and how much of) the observability layer a run enables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ObsMode {
-    /// No metrics, no tracing: the instrumentation handles stay `None`.
+    /// No metrics, no tracing: the observability handles stay `None`.
     #[default]
     Off,
-    /// Hot-path metrics only (the throughput-bench configuration).
+    /// `sim.*` metrics only (the throughput-bench configuration).
     Metrics,
     /// Metrics plus phase-span tracing.
     Full,
@@ -53,7 +52,7 @@ impl ObsMode {
         }
     }
 
-    /// Whether hot-path metrics are collected.
+    /// Whether `sim.*` metrics are collected.
     pub fn metrics_enabled(self) -> bool {
         self != ObsMode::Off
     }
@@ -64,167 +63,95 @@ impl ObsMode {
     }
 }
 
-/// The simulator's registered metric set plus its backing registry.
-/// Boxed behind `Option` on [`crate::system::System`].
-#[derive(Debug)]
+/// Walk distributions that [`crate::stats::SimStats`] does not keep,
+/// recorded unconditionally on the miss path and reset with the stats.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct WalkProfile {
+    /// Demand walks largely served by the page-walk caches.
+    pub pwc_hits: u64,
+    /// Demand walks that touched the full radix depth.
+    pub pwc_misses: u64,
+    /// Memory accesses per demand walk (walk depth).
+    pub depth: HistSnapshot,
+    /// Demand-walk latency in cycles.
+    pub latency: HistSnapshot,
+    /// Total L2-TLB-miss resolution latency in cycles (data side).
+    pub l2_miss_latency: HistSnapshot,
+}
+
+/// The `sim.*` totals over every finalized window. Boxed behind
+/// `Option` on [`crate::system::System`]; empty until the first
+/// [`crate::system::System::finalize_stats`], which folds each window in
+/// with [`obs::merge_snapshots`]: counters and histograms add, gauges
+/// keep their high-water mark.
+#[derive(Debug, Default)]
 pub struct SimMetrics {
-    reg: Arc<Registry>,
-    /// Single-writer buffer the hot path records into: plain `Cell`
-    /// adds instead of atomic RMWs (each system owns its metric set
-    /// exclusively), drained into `reg` whenever a snapshot is taken.
-    buf: LocalBuf,
-    /// L1 D-TLB hits (either page-size TLB).
-    pub(crate) l1_tlb_hit: MetricId,
-    /// L1 D-TLB misses.
-    pub(crate) l1_tlb_miss: MetricId,
-    /// Unified L2 TLB hits.
-    pub(crate) l2_tlb_hit: MetricId,
-    /// Unified L2 TLB misses.
-    pub(crate) l2_tlb_miss: MetricId,
-    /// I-TLB misses (instruction side).
-    pub(crate) itlb_miss: MetricId,
-    /// Hardware L3 TLB hits (Fig. 8 design point).
-    pub(crate) l3_tlb_hit: MetricId,
-    /// Victima L2-cache TLB-block probe hits.
-    pub(crate) victima_hit: MetricId,
-    /// Victima TLB-block insertions (walk- and eviction-flow).
-    pub(crate) victima_insert: MetricId,
-    /// Victima background (eviction-flow) walks.
-    pub(crate) victima_bg_walk: MetricId,
-    /// POM-TLB lookup hits.
-    pub(crate) pom_hit: MetricId,
-    /// POM-TLB lookup misses.
-    pub(crate) pom_miss: MetricId,
-    /// Demand page-table walks.
-    pub(crate) ptw: MetricId,
-    /// Walks largely served by the page-walk caches.
-    pub(crate) pwc_hit: MetricId,
-    /// Walks that had to touch the full radix depth.
-    pub(crate) pwc_miss: MetricId,
-    /// Histogram: memory accesses per demand walk (walk depth).
-    pub(crate) walk_depth: MetricId,
-    /// Histogram: demand-walk latency in cycles.
-    pub(crate) walk_latency: MetricId,
-    /// Histogram: total L2-TLB-miss resolution latency in cycles.
-    pub(crate) l2_miss_latency: MetricId,
-    /// L1D / L2 / L3 demand hits and misses (finalize-time snapshot).
-    pub(crate) cache_hit: [MetricId; 3],
-    /// Per-level demand misses.
-    pub(crate) cache_miss: [MetricId; 3],
-    /// Prefetcher outcomes: lines filled by the prefetchers, per level
-    /// (a fill that is later hit shows up in the level's demand hits).
-    pub(crate) prefetch_fill: [MetricId; 3],
-    /// Gauge: physical frames in use at finalize time.
-    pub(crate) frames_used: MetricId,
-    /// Gauge: physical frames still free at finalize time.
-    pub(crate) frames_free: MetricId,
+    pub(crate) totals: Vec<(String, MetricValue)>,
 }
 
 impl SimMetrics {
-    /// Builds a fresh registry with every simulator metric registered.
-    pub fn install() -> Box<Self> {
-        let mut reg = Registry::new();
-        let m = |reg: &mut Registry, name: &str| reg.counter(name);
-        Box::new(Self {
-            l1_tlb_hit: m(&mut reg, "sim.tlb.l1.hit"),
-            l1_tlb_miss: m(&mut reg, "sim.tlb.l1.miss"),
-            l2_tlb_hit: m(&mut reg, "sim.tlb.l2.hit"),
-            l2_tlb_miss: m(&mut reg, "sim.tlb.l2.miss"),
-            itlb_miss: m(&mut reg, "sim.tlb.itlb.miss"),
-            l3_tlb_hit: m(&mut reg, "sim.tlb.l3.hit"),
-            victima_hit: m(&mut reg, "sim.victima.hit"),
-            victima_insert: m(&mut reg, "sim.victima.insert"),
-            victima_bg_walk: m(&mut reg, "sim.victima.bg_walk"),
-            pom_hit: m(&mut reg, "sim.pom.hit"),
-            pom_miss: m(&mut reg, "sim.pom.miss"),
-            ptw: m(&mut reg, "sim.ptw.walks"),
-            pwc_hit: m(&mut reg, "sim.pwc.hit"),
-            pwc_miss: m(&mut reg, "sim.pwc.miss"),
-            walk_depth: reg.histogram("sim.ptw.depth"),
-            walk_latency: reg.histogram("sim.ptw.latency"),
-            l2_miss_latency: reg.histogram("sim.tlb.l2_miss_latency"),
-            cache_hit: [
-                m(&mut reg, "sim.cache.l1d.hit"),
-                m(&mut reg, "sim.cache.l2.hit"),
-                m(&mut reg, "sim.cache.l3.hit"),
-            ],
-            cache_miss: [
-                m(&mut reg, "sim.cache.l1d.miss"),
-                m(&mut reg, "sim.cache.l2.miss"),
-                m(&mut reg, "sim.cache.l3.miss"),
-            ],
-            prefetch_fill: [
-                m(&mut reg, "sim.prefetch.l1d.fill"),
-                m(&mut reg, "sim.prefetch.l2.fill"),
-                m(&mut reg, "sim.prefetch.l3.fill"),
-            ],
-            frames_used: reg.gauge("sim.frames.used"),
-            frames_free: reg.gauge("sim.frames.free"),
-            buf: reg.local_buf(),
-            reg: Arc::new(reg),
-        })
-    }
-
-    /// The backing registry, with all buffered deltas drained into it
-    /// (for snapshotting or external sharing).
-    pub fn registry(&self) -> &Arc<Registry> {
-        self.buf.flush_into(&self.reg);
-        &self.reg
-    }
-
-    /// Decodes every metric in registration order.
+    /// Every metric, in reading order.
     pub fn snapshot(&self) -> Vec<(String, MetricValue)> {
-        self.buf.flush_into(&self.reg);
-        self.reg.snapshot()
+        self.totals.clone()
     }
+}
 
-    /// Reads one histogram back out (tests, reports).
-    pub fn histogram(&self, id: MetricId) -> HistSnapshot {
-        self.buf.flush_into(&self.reg);
-        self.reg.histogram_snapshot(id)
+/// The window's readings: one row per `sim.*` metric, read off
+/// `SimStats`, the I-TLB and cache stats, the walk profile and the
+/// frame pool. Call after the window's stats are final.
+pub(crate) fn window_readings(sys: &System) -> Vec<(String, MetricValue)> {
+    let s = &sys.stats;
+    let w = &sys.walks;
+    let counters = [
+        ("sim.tlb.l1.hit", s.l1_tlb_hits),
+        ("sim.tlb.l1.miss", s.l1_tlb_misses),
+        ("sim.tlb.l2.hit", s.l2_tlb_hits),
+        ("sim.tlb.l2.miss", s.l2_tlb_misses),
+        ("sim.tlb.itlb.miss", sys.itlb.stats.misses),
+        ("sim.tlb.l3.hit", s.l3_tlb_hits),
+        ("sim.victima.hit", s.victima_hits),
+        ("sim.victima.insert", s.victima_inserts),
+        ("sim.victima.bg_walk", s.victima_background_walks),
+        ("sim.pom.hit", s.pom_hits),
+        ("sim.pom.miss", s.pom_misses),
+        ("sim.ptw.walks", s.ptws),
+        ("sim.pwc.hit", w.pwc_hits),
+        ("sim.pwc.miss", w.pwc_misses),
+        ("sim.host.walks", s.host_ptws),
+        ("sim.host.translations", s.host_translations),
+        ("sim.nested.tlb.hit", s.nested_tlb_hits),
+        ("sim.nested.block.hit", s.nested_block_hits),
+    ];
+    let histograms = [
+        ("sim.ptw.depth", &w.depth),
+        ("sim.ptw.latency", &w.latency),
+        ("sim.tlb.l2_miss_latency", &w.l2_miss_latency),
+    ];
+    let mut rows: Vec<(String, MetricValue)> = counters
+        .into_iter()
+        .map(|(n, v)| (n.to_owned(), MetricValue::Counter(v)))
+        .chain(histograms.into_iter().map(|(n, h)| (n.to_owned(), MetricValue::Histogram(h.clone()))))
+        .collect();
+    let l3 = sys.hier.l3();
+    let levels = [("l1d", sys.hier.l1d()), ("l2", sys.hier.l2()), ("l3", &*l3)];
+    for (group, event, read) in [
+        ("cache", "hit", (|c| c.hits) as fn(&CacheStats) -> u64),
+        ("cache", "miss", |c| c.misses),
+        ("prefetch", "fill", |c| c.prefetch_fills),
+    ] {
+        for (level, cache) in levels {
+            rows.push((format!("sim.{group}.{level}.{event}"), MetricValue::Counter(read(&cache.stats))));
+        }
     }
-
-    /// Increments a counter (allocation-free, non-atomic).
-    #[inline]
-    pub(crate) fn inc(&self, id: MetricId) {
-        self.buf.inc(id);
-    }
-
-    /// Adds to a counter (allocation-free, non-atomic).
-    #[inline]
-    pub(crate) fn add(&self, id: MetricId, n: u64) {
-        self.buf.add(id, n);
-    }
-
-    /// Stores a gauge level (allocation-free, non-atomic).
-    #[inline]
-    pub(crate) fn set(&self, id: MetricId, v: u64) {
-        self.buf.set(id, v);
-    }
-
-    /// Records a histogram observation (allocation-free, non-atomic).
-    #[inline]
-    pub(crate) fn observe(&self, id: MetricId, v: u64) {
-        self.buf.observe(id, v);
-    }
+    let (used, free) = sys.proc.memory.frames();
+    rows.push(("sim.frames.used".to_owned(), MetricValue::Gauge(used)));
+    rows.push(("sim.frames.free".to_owned(), MetricValue::Gauge(free)));
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn install_registers_the_full_metric_set() {
-        let m = SimMetrics::install();
-        let snap = m.snapshot();
-        assert!(snap.len() >= 20);
-        assert_eq!(snap[0].0, "sim.tlb.l1.hit");
-        assert!(snap.iter().all(|(n, _)| n.starts_with("sim.")));
-        m.inc(m.l1_tlb_hit);
-        m.observe(m.walk_depth, 4);
-        assert_eq!(m.snapshot()[0].1, MetricValue::Counter(1));
-        assert_eq!(m.histogram(m.walk_depth).count, 1);
-    }
 
     #[test]
     fn obs_mode_gates_metrics_and_tracing() {

@@ -9,7 +9,7 @@
 
 use crate::config::{ExecMode, SystemConfig, TranslationMechanism};
 use crate::epochs::EpochTracker;
-use crate::obs::SimMetrics;
+use crate::obs::{window_readings, SimMetrics, WalkProfile};
 use crate::stats::SimStats;
 use crate::virt::compose_entry;
 use mem_sim::{BlockKind, Hierarchy, MemClass, MemLevel, Policy, SharedLlc};
@@ -51,6 +51,18 @@ impl Memory {
         match self {
             Memory::Virt { nested } => nested,
             Memory::Native { .. } => unreachable!("virtualised flow"),
+        }
+    }
+
+    /// Physical frames (host frames when virtualised) in use and still
+    /// free.
+    pub(crate) fn frames(&self) -> (u64, u64) {
+        match self {
+            Memory::Native { alloc, .. } => {
+                let a = alloc.borrow();
+                (a.frames_used(), a.frames_left())
+            }
+            Memory::Virt { nested } => (nested.host_alloc.frames_used(), nested.host_alloc.frames_left()),
         }
     }
 
@@ -238,8 +250,11 @@ pub struct System {
     /// warm-up, fast-forwarded and skipped references included, so a
     /// recorded trace replays the whole run.
     record_hook: Option<Box<dyn FnMut(MemRef)>>,
-    /// Optional hot-path metrics ([`crate::obs`]); `None` (the default)
-    /// keeps every instrumentation site down to one discriminant test.
+    /// Walk distributions for the `sim.*` metrics (always recorded,
+    /// reset with the stats).
+    pub(crate) walks: WalkProfile,
+    /// Optional `sim.*` metric totals ([`crate::obs`]), folded in at
+    /// every [`System::finalize_stats`]; `None` by default.
     pub(crate) metrics: Option<Box<SimMetrics>>,
     /// Optional phase-span tracer: `run_with_warmup`, the sampling loop
     /// and checkpoint restore record wall-clock phase timings into it.
@@ -389,6 +404,7 @@ impl System {
             stats: SimStats::default(),
             tracker: None,
             record_hook: None,
+            walks: WalkProfile::default(),
             metrics: None,
             tracer: None,
             refs_consumed: 0,
@@ -427,13 +443,14 @@ impl System {
         self.record_hook.take()
     }
 
-    /// Enables hot-path metrics collection into a fresh registry
-    /// ([`crate::obs::SimMetrics`]). Like the record hook and the
-    /// feature tracker, enablement is post-construction state: it never
-    /// enters the config or the spec fingerprint, and it cannot change
+    /// Enables the `sim.*` metric totals ([`crate::obs::SimMetrics`]),
+    /// which every later [`System::finalize_stats`] extends by the
+    /// window just measured. Like the record hook and the feature
+    /// tracker, enablement is post-construction state: it never enters
+    /// the config or the spec fingerprint, and it cannot change
     /// simulation results.
     pub fn enable_metrics(&mut self) {
-        self.metrics = Some(SimMetrics::install());
+        self.metrics = Some(Box::default());
     }
 
     /// The installed metric set, when metrics are enabled.
@@ -627,6 +644,7 @@ impl System {
         }
         self.walker.reset_stats();
         self.host_walker.reset_stats();
+        self.walks = WalkProfile::default();
         self.epoch = EpochTracker::new();
         if let Some(v) = &mut self.victima {
             v.stats = Default::default();
@@ -696,9 +714,6 @@ impl System {
             Some(e) => (e.frame, 0),
             None => {
                 // Miss: L2 TLB, then walk. Code pages are always 4KB.
-                if let Some(m) = &self.metrics {
-                    m.inc(m.itlb_miss);
-                }
                 let mut lat = self.l2_tlb.latency();
                 let entry = match self.l2_tlb.probe(vpn, self.proc.asid, PageSize::Size4K) {
                     Some(e) => e,
@@ -726,47 +741,30 @@ impl System {
         // hidden in the pipeline).
         if let Some(e) = self.dtlb4k.probe(va.vpn(PageSize::Size4K), self.proc.asid, PageSize::Size4K) {
             self.stats.l1_tlb_hits += 1;
-            if let Some(m) = &self.metrics {
-                m.inc(m.l1_tlb_hit);
-            }
             return (frame_pa(e.frame, e.size, va), 0);
         }
         if let Some(e) = self.dtlb2m.probe(va.vpn(PageSize::Size2M), self.proc.asid, PageSize::Size2M) {
             self.stats.l1_tlb_hits += 1;
-            if let Some(m) = &self.metrics {
-                m.inc(m.l1_tlb_hit);
-            }
             return (frame_pa(e.frame, e.size, va), 0);
         }
         self.stats.l1_tlb_misses += 1;
-        if let Some(m) = &self.metrics {
-            m.inc(m.l1_tlb_miss);
-        }
 
         // Unified L2 TLB, both page sizes probed in parallel.
         let mut latency = self.l2_tlb.latency();
         for size in PageSize::ALL {
             if let Some(e) = self.l2_tlb.probe(va.vpn(size), self.proc.asid, size) {
                 self.stats.l2_tlb_hits += 1;
-                if let Some(m) = &self.metrics {
-                    m.inc(m.l2_tlb_hit);
-                }
                 self.fill_l1(e);
                 self.track_l1_miss(va, size);
                 return (frame_pa(e.frame, e.size, va), latency);
             }
         }
         self.stats.l2_tlb_misses += 1;
-        if let Some(m) = &self.metrics {
-            m.inc(m.l2_tlb_miss);
-        }
         self.epoch.on_l2_tlb_miss();
 
         let res = self.resolve_l2_miss(va);
         latency += res.latency;
-        if let Some(m) = &self.metrics {
-            m.observe(m.l2_miss_latency, res.latency);
-        }
+        self.walks.l2_miss_latency.record(res.latency);
         self.stats.l2_miss_latency_sum += res.latency;
         self.stats.l2_miss_pom_component += res.components[0];
         self.stats.l2_miss_cache_component += res.components[1];
@@ -874,9 +872,6 @@ impl System {
             return;
         }
         self.stats.victima_background_walks += 1;
-        if let Some(m) = &self.metrics {
-            m.inc(m.victima_bg_walk);
-        }
         let walk = match self.proc.memory.walk_table(mode, kind) {
             Some(pt) => self.bg_walker.walk(pt, ev_va, ev.asid, &mut self.hier, &ctx),
             None => Some(self.nested_walk(ev_va, false).1),
@@ -885,9 +880,6 @@ impl System {
             let v = self.victima.as_mut().expect("checked above");
             if v.insert_after_eviction_walk(self.hier.l2_mut(), ev_va, ev.asid, kind, &w, &ctx) {
                 self.stats.victima_inserts += 1;
-                if let Some(m) = &self.metrics {
-                    m.inc(m.victima_insert);
-                }
             }
         }
     }
@@ -910,9 +902,6 @@ impl System {
             for size in PageSize::ALL {
                 if let Some(e) = l3.probe(va.vpn(size), asid, size) {
                     self.stats.l3_tlb_hits += 1;
-                    if let Some(m) = &self.metrics {
-                        m.inc(m.l3_tlb_hit);
-                    }
                     return MissResolution { entry: e, latency, components };
                 }
             }
@@ -940,16 +929,14 @@ impl System {
                     latency += l2c;
                     components[1] += l2c;
                     self.stats.victima_hits += 1;
-                    if let Some(m) = &self.metrics {
-                        m.inc(m.victima_hit);
-                    }
                     return MissResolution { entry, latency, components };
                 }
             }
         }
 
         // POM-TLB lookup (two parallel per-size probes through the data
-        // hierarchy).
+        // hierarchy). `pom.stats` counts each probe's hit or miss, and
+        // `finalize_stats` copies those counts into `SimStats`.
         if let Some(pom) = self.pom.as_mut() {
             let mut hit: Option<TlbEntry> = None;
             let mut pom_lat: Cycles = 0;
@@ -965,15 +952,7 @@ impl System {
             latency += pom_lat;
             components[0] += pom_lat;
             if let Some(entry) = hit {
-                self.stats.pom_hits += 1;
-                if let Some(m) = &self.metrics {
-                    m.inc(m.pom_hit);
-                }
                 return MissResolution { entry, latency, components };
-            }
-            self.stats.pom_misses += 1;
-            if let Some(m) = &self.metrics {
-                m.inc(m.pom_miss);
             }
         }
 
@@ -996,12 +975,10 @@ impl System {
         // was largely served by the page-walk caches.
         let pwc_hit = walk.memory_accesses < 4 && walk.page_size == PageSize::Size4K
             || walk.memory_accesses < 3 && walk.page_size == PageSize::Size2M;
-        if let Some(m) = &self.metrics {
-            m.inc(m.ptw);
-            m.inc(if pwc_hit { m.pwc_hit } else { m.pwc_miss });
-            m.observe(m.walk_depth, walk.memory_accesses as u64);
-            m.observe(m.walk_latency, walk.latency);
-        }
+        self.walks.pwc_hits += u64::from(pwc_hit);
+        self.walks.pwc_misses += u64::from(!pwc_hit);
+        self.walks.depth.record(walk.memory_accesses as u64);
+        self.walks.latency.record(walk.latency);
         if let Some(t) = self.tracker.as_mut() {
             t.on_walk(asid, va, walk.page_size, walk.latency, walk.dram_touched, pwc_hit);
         }
@@ -1017,16 +994,14 @@ impl System {
         if let Some(v) = self.victima.as_mut() {
             if v.insert_after_walk(self.hier.l2_mut(), va, asid, BlockKind::Tlb, &walk, &ctx) {
                 self.stats.victima_inserts += 1;
-                if let Some(m) = &self.metrics {
-                    m.inc(m.victima_insert);
-                }
             }
         }
         MissResolution { entry, latency, components }
     }
 
-    /// Finalises aggregate statistics from component counters. Call after
-    /// the measured run.
+    /// Finalises aggregate statistics from component counters. Call once
+    /// after each measured window: with metrics enabled, this also folds
+    /// the window into the `sim.*` totals.
     pub fn finalize_stats(&mut self) {
         self.stats.ptw_latency_hist = self.walker.stats.latency_hist.clone();
         self.stats.ptw_latency_mean = self.walker.stats.mean_latency();
@@ -1049,33 +1024,10 @@ impl System {
             self.stats.pom_hits = p.stats.hits;
             self.stats.pom_misses = p.stats.misses;
         }
-        self.snapshot_metrics();
-    }
-
-    /// Folds finalize-time readings into the metric registry: cache and
-    /// prefetcher counters for the window just measured (component stats
-    /// reset per window, so adding per finalize accumulates correctly
-    /// across sampling windows) and frame-pool pressure gauges.
-    fn snapshot_metrics(&mut self) {
-        let Some(m) = &self.metrics else {
-            return;
-        };
-        let l3 = self.hier.l3();
-        let levels = [self.hier.l1d(), self.hier.l2(), &*l3];
-        for (i, c) in levels.into_iter().enumerate() {
-            m.add(m.cache_hit[i], c.stats.hits);
-            m.add(m.cache_miss[i], c.stats.misses);
-            m.add(m.prefetch_fill[i], c.stats.prefetch_fills);
+        if let Some(mut m) = self.metrics.take() {
+            obs::merge_snapshots(&mut m.totals, &window_readings(self));
+            self.metrics = Some(m);
         }
-        let (used, free) = match &self.proc.memory {
-            Memory::Native { alloc, .. } => {
-                let a = alloc.borrow();
-                (a.frames_used(), a.frames_left())
-            }
-            Memory::Virt { nested } => (nested.host_alloc.frames_used(), nested.host_alloc.frames_left()),
-        };
-        m.set(m.frames_used, used);
-        m.set(m.frames_free, free);
     }
 
     /// OS-initiated TLB shootdown for one page of the *resident* address

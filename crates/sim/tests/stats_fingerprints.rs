@@ -106,13 +106,13 @@ fn detailed_runs_match_recorded_fingerprints() {
         ("victima-virt", [0x81ad7daa5e2f694f, 0x471b029a8fc56948, 0xcf00400699532a81, 0xd98e8a2cfa31f1ad]),
     ];
     let metrics: &[(&str, [u64; 4])] = &[
-        ("radix", [0x0b795d13996eab86, 0x7dacb190f8691381, 0xfe3539b5fbf6ca5e, 0x75bea906e56e82d0]),
-        ("l3tlb", [0x19e0c86bf53844d8, 0x652f6b5f983f92a9, 0x3122428ce6e714fb, 0xae7aded817f0f7c6]),
-        ("pom", [0xa32d11704a9e8d19, 0xd9cf79cca4923393, 0x4e930914a487cc55, 0x831966eb5e5eb48d]),
-        ("victima", [0x67ae0a707b1e43e7, 0xe14ec4a543163bda, 0x836368eaf6444dd6, 0x928904c5c98cb5bf]),
-        ("victima+stlb", [0x577c7aed2ae50a8e, 0x0141ab6766fb046c, 0xa7925875461f2d18, 0x8306d3049a74d618]),
-        ("agnostic", [0x67ae0a707b1e43e7, 0x732f933bffaf95ae, 0x836368eaf6444dd6, 0x928904c5c98cb5bf]),
-        ("ideal", [0x0cb50fc9a4cdb2b1, 0xbac00e433105dd21, 0x91a74be5818663ed, 0xca8ee3b7991f202d]),
+        ("radix", [0xd82838ef3b3d9e2e, 0xa43be96e8fe4e86a, 0x951b066c3d9b1e55, 0x19c683345d2c9adb]),
+        ("l3tlb", [0xfd71099b0f3a09aa, 0xeabdaeb30f6a49f1, 0x5d7e6b7f81b3c998, 0x606c138e73259221]),
+        ("pom", [0x18f456384931595f, 0x5c8cbaaf5780338e, 0x5a5834997d7e0bd7, 0x7d73a6ef6d11fbee]),
+        ("victima", [0xaef1b43cb0b639bb, 0x02983c0995e7f886, 0x4dd656e3647fb9f0, 0x8b60c646da8bf301]),
+        ("victima+stlb", [0x84dfa694911411e2, 0x450e66987da89802, 0x46163fce5c10da10, 0xcd2c9f924cabf15e]),
+        ("agnostic", [0xaef1b43cb0b639bb, 0x13c798dcd06f47b9, 0x4dd656e3647fb9f0, 0x8b60c646da8bf301]),
+        ("ideal", [0x115aeae2e948cc68, 0x6c11e0e190cfeb57, 0x72aff1b57881b84c, 0x23fe7b0dcae48ee1]),
     ];
     let cases: Vec<Case> = stats
         .iter()
@@ -138,9 +138,9 @@ fn sampled_and_feature_runs_match_recorded_fingerprints() {
         ("pom", [0xfa5fc42d9eb42e46, 0x4ad26f28216cc14f]),
     ];
     let metrics: &[(&str, [u64; 2])] = &[
-        ("radix", [0x7f386c485af03ecc, 0x0b795d13996eab86]),
-        ("victima", [0xdec769dd44de1659, 0x67ae0a707b1e43e7]),
-        ("pom", [0x103431e7a751681d, 0xa32d11704a9e8d19]),
+        ("radix", [0xfc53a335ec01efcd, 0xd82838ef3b3d9e2e]),
+        ("victima", [0xe7dbb84d51307d30, 0xaef1b43cb0b639bb]),
+        ("pom", [0xe71e24b36f8bcaa8, 0x18f456384931595f]),
     ];
     let cases: Vec<Case> = stats
         .iter()
