@@ -238,6 +238,36 @@ mod tests {
         }
     }
 
+    /// A checkpoint taken deep into the stream resumes byte-identically:
+    /// restore drains millions of references through the skipping stream
+    /// (`Workload::advance`), which must land exactly where the saved
+    /// run's generate-and-consume left off.
+    #[test]
+    fn deep_stream_position_resumes_byte_identically() {
+        const SKIP: u64 = 1_000_003;
+        for workload in ["RND", "GEN", "DLRM", "XS", "BFS", "TC"] {
+            let cfg = SystemConfig::radix();
+            let build = || {
+                System::new(cfg.clone(), registry::by_name_seeded(workload, Scale::Tiny, cfg.seed).unwrap())
+            };
+            let mut reference = build();
+            reference.skip(SKIP);
+            reference.run_with_warmup(WARMUP, MEASURED);
+            reference.finalize_stats();
+
+            let mut warm = build();
+            warm.skip(SKIP);
+            let ck =
+                Checkpoint::decode(&capture_warm(&mut warm, Scale::Tiny, WARMUP).unwrap().encode()).unwrap();
+            let mut resumed = build();
+            restore_into(&mut resumed, &ck, Scale::Tiny).unwrap();
+            assert_eq!(resumed.refs_consumed(), warm.refs_consumed(), "{workload}: stream position");
+            resumed.run(MEASURED);
+            resumed.finalize_stats();
+            assert_eq!(resumed.stats, reference.stats, "{workload}");
+        }
+    }
+
     #[test]
     fn restore_rejects_identity_mismatches() {
         let mut warm = build(SystemConfig::radix());

@@ -13,7 +13,10 @@
 //!
 //! Each fast-forward interval is itself split in two: a pure *skip*
 //! ([`System::skip`]: stream advancement only, no simulation — sound
-//! because the page table cannot change while no instructions retire)
+//! because the page table cannot change while no instructions retire;
+//! whole generator batches are jumped with
+//! [`workloads::Workload::advance`] instead of generated, and the skip
+//! stops on exactly the reference a generate-and-drop loop would)
 //! followed by a [`FUNC_WARM`]-instruction functional-warming tail
 //! ([`System::fast_forward`]) that rebuilds the L2 TLB's contents
 //! before the window. The tail covers the TLB's reach many times over,
@@ -253,6 +256,44 @@ mod tests {
             sys.stats.clone()
         };
         assert_eq!(run(), run());
+    }
+
+    /// `System::skip` skips without generating only when no record hook
+    /// is installed; with one it generates every reference for the hook.
+    /// Both paths must leave the same stream position and the same
+    /// machine, so the next measured window is byte-identical.
+    #[test]
+    fn skip_with_and_without_a_record_hook_agree() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        const SKIP: u64 = 300_007;
+        for workload in ["RND", "GEN", "DLRM", "XS", "BFS", "TC"] {
+            let r = Runner::with_budget(workloads::Scale::Tiny, 1_000, 5_000);
+            let run = |hook: Option<Rc<Cell<u64>>>| {
+                let mut sys = r.build(workload, &SystemConfig::victima());
+                if let Some(fired) = hook {
+                    sys.set_record_hook(Box::new(move |_| fired.set(fired.get() + 1)));
+                }
+                sys.run(1_000);
+                let before = sys.refs_consumed();
+                sys.skip(SKIP);
+                let skipped = sys.refs_consumed() - before;
+                sys.reset_stats();
+                sys.process_mut().reset_counters();
+                sys.run(5_000);
+                sys.finalize_stats();
+                (skipped, sys.refs_consumed(), sys.stats.clone())
+            };
+            let fired = Rc::new(Cell::new(0));
+            let hooked = run(Some(Rc::clone(&fired)));
+            let plain = run(None);
+            assert_eq!(fired.get(), hooked.1, "{workload}: the hook must fire once per consumed reference");
+            assert!(hooked.0 > 0, "{workload}: the skip consumed nothing");
+            assert_eq!(plain.0, hooked.0, "{workload}: references skipped");
+            assert_eq!(plain.1, hooked.1, "{workload}: refs_consumed after the window");
+            assert_eq!(plain.2, hooked.2, "{workload}: the window after the skip");
+        }
     }
 
     #[test]

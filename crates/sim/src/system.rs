@@ -586,19 +586,37 @@ impl System {
 
     /// Advances the workload stream for `instructions` instructions
     /// without simulating anything at all — not even the functional L2
-    /// TLB warming of [`System::fast_forward`]. The record hook still
-    /// sees every reference and `refs_consumed` advances, so recording
-    /// and checkpoint stream positions stay exact.
+    /// TLB warming of [`System::fast_forward`]. It stops at the first
+    /// reference whose running instruction total reaches
+    /// `instructions`, exactly as a generate-and-drop loop would, and
+    /// `refs_consumed` advances by the references passed over, so
+    /// checkpoint stream positions stay exact.
+    ///
+    /// Without a record hook the stream skips without generating
+    /// ([`WorkloadStream::skip`]): [`Workload::advance`] jumps whole
+    /// batches — in O(1) for RND, DLRM and XS, as allocation-free dry
+    /// fills for GEN, TC and BFS — and only the partial batches at
+    /// either end are materialised. With a hook installed every
+    /// reference is generated so the hook sees each one, and recording
+    /// stays exact.
     ///
     /// Sound because workloads never page-fault after construction: the
     /// page-table ground truth cannot change while instructions are
     /// skipped, so the only state a skip loses is TLB recency — which
     /// [`crate::sampling`] repairs with a bounded functional-warming
     /// tail before each measurement window.
+    ///
+    /// [`WorkloadStream::skip`]: workloads::WorkloadStream::skip
+    /// [`Workload::advance`]: workloads::Workload::advance
     pub fn skip(&mut self, instructions: u64) {
-        let mut advanced = 0u64;
-        while advanced < instructions {
-            advanced += self.next_ref().instructions();
+        if self.record_hook.is_some() {
+            let mut advanced = 0u64;
+            while advanced < instructions {
+                advanced += self.next_ref().instructions();
+            }
+        } else {
+            let (_, refs) = self.proc.stream.skip(instructions, u64::MAX);
+            self.refs_consumed += refs;
         }
     }
 
@@ -606,11 +624,11 @@ impl System {
     /// simulating them or firing the record hook (checkpoint resume:
     /// generators are deterministic, so draining the stream back to a
     /// recorded position reproduces exactly the stream the saved run
-    /// would have continued with).
+    /// would have continued with). Skips without generating, like
+    /// [`System::skip`].
     pub(crate) fn drain_stream_refs(&mut self, refs: u64) {
-        for _ in 0..refs {
-            let _ = self.proc.stream.next_ref();
-        }
+        let (_, drained) = self.proc.stream.skip(u64::MAX, refs);
+        debug_assert_eq!(drained, refs);
         self.refs_consumed += refs;
     }
 

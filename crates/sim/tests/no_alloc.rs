@@ -8,6 +8,8 @@
 //! L1/L2-hit path and none per L2 demand miss (prefetch candidates land
 //! in the reused scratch buffer, walks use fixed-size buffers, TLB fills
 //! run the eviction flows in place), and none in the generator's `fill`.
+//! The SMARTS fast-forward's pure skip (`System::skip`) is held to the
+//! same bound: its batch jumps and dry fills materialise nothing.
 //!
 //! Each case runs on its own test thread and counts only that thread's
 //! allocations (`alloc_count`), so cases may run in parallel.
@@ -78,4 +80,24 @@ fn bfs_allocates_only_frontier_growth() {
 #[test]
 fn tc_is_allocation_free() {
     assert_both_configs("TC", 0);
+}
+
+/// `System::skip` after warm-up: no allocation for any generator but
+/// BFS, whose dry fills grow the same frontier `fill` does.
+#[test]
+fn skip_is_allocation_free() {
+    for (workload, allowed) in [("RND", 0), ("GEN", 0), ("DLRM", 0), ("XS", 0), ("TC", 0), ("BFS", 4)] {
+        let config = SystemConfig::radix();
+        let w = registry::by_name_seeded(workload, Scale::Tiny, config.seed).expect("known workload");
+        let mut sys = System::new(config, w);
+        sys.run(200_000);
+
+        let before = alloc_count::allocations();
+        sys.skip(2_000_000);
+        let got = alloc_count::allocations() - before;
+        assert!(
+            got <= allowed,
+            "{workload}: expected at most {allowed} allocation(s) skipping 2M instructions, got {got}"
+        );
+    }
 }

@@ -45,8 +45,16 @@ impl SplitMix64 {
     /// Next 64 uniformly distributed bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        self.state = self.state.wrapping_add(GAMMA);
         mix(self.state)
+    }
+
+    /// Discards the next `n` draws in O(1): each [`SplitMix64::next_u64`]
+    /// adds the same odd constant to the state, so `n` of them add `n`
+    /// times it (mod 2^64).
+    #[inline]
+    pub fn skip_draws(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
     }
 
     /// Uniform draw in `[0, bound)`. Returns 0 when `bound == 0`.
@@ -84,6 +92,9 @@ impl SplitMix64 {
     }
 }
 
+/// SplitMix64's state increment (the golden-ratio "gamma").
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// Default seed used throughout the reproduction for determinism.
 pub const DEFAULT_SEED: u64 = 0x5afa_7151_c0de_2023;
 
@@ -92,7 +103,7 @@ pub const DEFAULT_SEED: u64 = 0x5afa_7151_c0de_2023;
 /// vertex v is `mix64(seed ^ v ^ (i << 32)) % V`).
 #[inline]
 pub const fn mix64(x: u64) -> u64 {
-    mix(x.wrapping_add(0x9e37_79b9_7f4a_7c15))
+    mix(x.wrapping_add(GAMMA))
 }
 
 #[inline]
@@ -105,7 +116,7 @@ const fn mix(mut z: u64) -> u64 {
 /// Combines two values into one hash, for keyed procedural functions.
 #[inline]
 pub const fn mix2(a: u64, b: u64) -> u64 {
-    mix64(a ^ b.rotate_left(32).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+    mix64(a ^ b.rotate_left(32).wrapping_mul(GAMMA))
 }
 
 #[cfg(test)]
@@ -119,6 +130,24 @@ mod tests {
         let mut b = SplitMix64::new(7);
         let second: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn skip_draws_equals_repeated_next_u64() {
+        // GAMMA is ~0.62 * 2^64, so the state wraps past u64::MAX every
+        // couple of draws; the second seed wraps on the very first one.
+        for n in [0u64, 1, 64, 1_000_000] {
+            for seed in [9u64, u64::MAX] {
+                let mut jumped = SplitMix64::new(seed);
+                let mut stepped = SplitMix64::new(seed);
+                jumped.skip_draws(n);
+                for _ in 0..n {
+                    stepped.next_u64();
+                }
+                assert_eq!(jumped, stepped, "n={n} seed={seed:#x}");
+                assert_eq!(jumped.next_u64(), stepped.next_u64());
+            }
+        }
     }
 
     #[test]

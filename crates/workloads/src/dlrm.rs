@@ -6,13 +6,18 @@
 //! blocks) but row *selection* is essentially random — high TLB pressure
 //! with short bursts of spatial locality.
 
-use crate::{pc, RegionSpec, Scale, Workload};
+use crate::{pc, whole_batches, RegionSpec, Scale, Workload};
 use vm_types::{MemRef, SplitMix64, VirtAddr};
 
 const TABLES: u64 = 8;
 const ROWS_PER_TABLE_TINY: u64 = 64 << 10; // ×16 at Full = 1M rows
 const ROW_BYTES: u64 = 64; // 16 × f32 embedding vector
 const POOLING: u64 = 32; // rows gathered per (sample, table)
+/// Lookups per batch (one sample): two draws, an index load (gap 2) and
+/// a row load (gap 3) each.
+const LOOKUPS: u64 = TABLES * POOLING;
+/// `(instructions, references)` of every batch.
+const BATCH: (u64, u64) = (LOOKUPS * 7, LOOKUPS * 2);
 
 /// The DLRM workload.
 pub struct Dlrm {
@@ -79,7 +84,18 @@ impl Workload for Dlrm {
                 out.push(MemRef::load(row_base, pc(21 + t as u32), 3));
             }
         }
-        self.cursor += TABLES * POOLING;
+        self.cursor += LOOKUPS;
+    }
+
+    fn advance(&mut self, max_instrs: u64, max_refs: u64) -> (u64, u64) {
+        // A zero hot-head bound would make `next_below` skip its draw.
+        if self.rows_per_table / 64 == 0 {
+            return (0, 0);
+        }
+        let n = whole_batches(max_instrs, max_refs, BATCH);
+        self.rng.skip_draws(n * LOOKUPS * 2);
+        self.cursor += n * LOOKUPS;
+        (n * BATCH.0, n * BATCH.1)
     }
 }
 

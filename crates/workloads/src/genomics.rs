@@ -6,12 +6,17 @@
 //! table (random, TLB-hostile) — a half-streaming/half-random mix that
 //! distinguishes it from pure GUPS.
 
-use crate::{pc, RegionSpec, Scale, Workload};
+use crate::{pc, RegionSpec, Scale, Sink, Tally, Workload};
 use vm_types::{mix2, MemRef, SplitMix64, VirtAddr};
 
 const READS_BYTES_TINY: u64 = 8 << 20; // ×16 = 128MB of reads
 const HASH_BYTES_TINY: u64 = 24 << 20; // ×16 = 384MB hash table
 const KMER: u64 = 31;
+/// K-mers per batch.
+const KMERS: u64 = 32;
+/// Worst-case `(instructions, references)` of a batch: every k-mer
+/// collides (read, bucket load and store, probe: gaps 3, 4, 1, 2).
+const WORST_BATCH: (u64, u64) = (KMERS * 14, KMERS * 4);
 
 /// The GEN workload.
 pub struct Genomics {
@@ -58,9 +63,19 @@ impl Workload for Genomics {
     }
 
     fn fill(&mut self, out: &mut Vec<MemRef>) {
+        self.batch(out);
+    }
+
+    fn advance(&mut self, max_instrs: u64, max_refs: u64) -> (u64, u64) {
+        Tally::dry_run(max_instrs, max_refs, WORST_BATCH, |t| self.batch(t))
+    }
+}
+
+impl Genomics {
+    fn batch(&mut self, out: &mut impl Sink) {
         // One batch = 32 k-mers. The window advances 4 bases (1 byte of
         // 2-bit-packed sequence) per k-mer; reads are touched sequentially.
-        for _ in 0..32 {
+        for _ in 0..KMERS {
             out.push(MemRef::load(self.reads.add(self.pos % self.reads_bytes), pc(30), 3));
             self.pos += 1;
             // Rolling hash of the window (simulated with a mixer), then a

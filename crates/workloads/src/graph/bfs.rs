@@ -4,11 +4,13 @@
 //! reads, and random visited-bit tests/sets. When a traversal exhausts its
 //! component, a new root restarts it (the stream is infinite).
 
-use super::{GraphCore, PropKind};
-use crate::{pc, RegionSpec, Scale, Workload};
+use super::{GraphCore, PropKind, EDGE_COST, OFFSETS_COST};
+use crate::{pc, RegionSpec, Scale, Sink, Tally, Workload};
 use vm_types::{MemRef, SplitMix64, VirtAddr};
 
 const PROPS: [PropKind; 1] = [PropKind::Bit]; // visited bitmap
+/// Frontier vertices expanded per batch.
+const VERTICES: u64 = 4;
 
 /// The BFS workload.
 pub struct Bfs {
@@ -70,8 +72,23 @@ impl Workload for Bfs {
     }
 
     fn fill(&mut self, out: &mut Vec<MemRef>) {
+        self.batch(out);
+    }
+
+    fn advance(&mut self, max_instrs: u64, max_refs: u64) -> (u64, u64) {
+        // Worst case: every vertex has the maximum degree and every
+        // neighbour is unvisited (edge, bit load gap 1, bit store gap 0).
+        let d = self.core.graph.max_degree();
+        let per_vertex = (OFFSETS_COST.0 + d * (EDGE_COST.0 + 3), OFFSETS_COST.1 + d * (EDGE_COST.1 + 2));
+        let worst = (VERTICES * per_vertex.0, VERTICES * per_vertex.1);
+        Tally::dry_run(max_instrs, max_refs, worst, |t| self.batch(t))
+    }
+}
+
+impl Bfs {
+    fn batch(&mut self, out: &mut impl Sink) {
         // Process up to 4 frontier vertices per batch.
-        for _ in 0..4 {
+        for _ in 0..VERTICES {
             let v = loop {
                 match self.frontier.pop() {
                     Some(v) => break v as u64,

@@ -17,7 +17,7 @@ pub mod pagerank;
 pub mod sssp;
 pub mod tc;
 
-use crate::{pc, RegionSpec, Scale};
+use crate::{pc, RegionSpec, Scale, Sink};
 use vm_types::{mix2, MemRef, SplitMix64, VirtAddr};
 
 const DEGREE_TABLE: usize = 1024;
@@ -71,6 +71,11 @@ impl ProcGraph {
         self.edge_offset(self.v)
     }
 
+    /// The largest out-degree of any vertex.
+    pub(crate) fn max_degree(&self) -> u64 {
+        self.degrees.iter().copied().max().unwrap_or(0) as u64
+    }
+
     /// Out-degree of `v`.
     #[inline]
     pub fn degree(&self, v: u64) -> u64 {
@@ -102,6 +107,11 @@ impl ProcGraph {
         }
     }
 }
+
+/// `(instructions, references)` one [`GraphCore::emit_offsets`] emits.
+pub(crate) const OFFSETS_COST: (u64, u64) = (4, 2);
+/// `(instructions, references)` one [`GraphCore::emit_edge`] emits.
+pub(crate) const EDGE_COST: (u64, u64) = (2, 1);
 
 /// Shared CSR layout and emission helpers for all graph kernels.
 pub struct GraphCore {
@@ -174,7 +184,7 @@ impl GraphCore {
 
     /// Emits the two offset-array loads bracketing `v`'s adjacency list.
     #[inline]
-    pub fn emit_offsets(&self, v: u64, site: u32, out: &mut Vec<MemRef>) {
+    pub fn emit_offsets(&self, v: u64, site: u32, out: &mut impl Sink) {
         out.push(MemRef::load(self.offsets.add(v * 8), pc(site), 2));
         out.push(MemRef::load(self.offsets.add(v * 8 + 8), pc(site), 0));
     }
@@ -182,7 +192,7 @@ impl GraphCore {
     /// Emits the load of edge slot `i` of vertex `v` and returns the
     /// neighbour id.
     #[inline]
-    pub fn emit_edge(&self, v: u64, i: u64, site: u32, out: &mut Vec<MemRef>) -> u64 {
+    pub fn emit_edge(&self, v: u64, i: u64, site: u32, out: &mut impl Sink) -> u64 {
         let off = self.graph.edge_offset(v) + i;
         out.push(MemRef::load(self.edges.add(off * 8), pc(site), 1));
         self.graph.neighbor(v, i)

@@ -9,8 +9,8 @@
 //! modelled: which neighbours match never changes the emitted stream, so
 //! the generator's only state is its vertex cursor.
 
-use super::{GraphCore, PropKind};
-use crate::{RegionSpec, Scale, Workload};
+use super::{GraphCore, PropKind, EDGE_COST, OFFSETS_COST};
+use crate::{RegionSpec, Scale, Sink, Tally, Workload};
 use vm_types::{MemRef, VirtAddr};
 
 const PROPS: [PropKind; 0] = [];
@@ -18,6 +18,10 @@ const PROPS: [PropKind; 0] = [];
 /// work bounded on power-law hubs (real TC implementations orient edges
 /// for the same reason).
 const CAP: u64 = 16;
+/// `(instructions, references)` of reading one capped adjacency list.
+const LIST_COST: (u64, u64) = (OFFSETS_COST.0 + CAP * EDGE_COST.0, OFFSETS_COST.1 + CAP * EDGE_COST.1);
+/// Worst-case batch: `v`'s list plus one list per neighbour.
+const WORST_BATCH: (u64, u64) = ((1 + CAP) * LIST_COST.0, (1 + CAP) * LIST_COST.1);
 
 /// The TC workload.
 pub struct TriangleCount {
@@ -48,6 +52,16 @@ impl Workload for TriangleCount {
     }
 
     fn fill(&mut self, out: &mut Vec<MemRef>) {
+        self.batch(out);
+    }
+
+    fn advance(&mut self, max_instrs: u64, max_refs: u64) -> (u64, u64) {
+        Tally::dry_run(max_instrs, max_refs, WORST_BATCH, |t| self.batch(t))
+    }
+}
+
+impl TriangleCount {
+    fn batch(&mut self, out: &mut impl Sink) {
         let (core, graph) = (&self.core, &self.core.graph);
         let v = self.cursor % graph.num_vertices();
         self.cursor += 1;

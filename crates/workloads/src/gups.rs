@@ -4,11 +4,15 @@
 //! random 8-byte words of a giant table. The canonical worst case for TLB
 //! reach — essentially every update touches a new page.
 
-use crate::{pc, RegionSpec, Scale, Workload};
+use crate::{pc, whole_batches, RegionSpec, Scale, Workload};
 use vm_types::{MemRef, SplitMix64, VirtAddr};
 
 /// Base table size at [`Scale::Tiny`]; ×16 at Full (512MB).
 const TABLE_BYTES_TINY: u64 = 48 << 20;
+/// Updates per batch: one draw, a load (gap 5) and a store (gap 1) each.
+const UPDATES: u64 = 64;
+/// `(instructions, references)` of every batch.
+const BATCH: (u64, u64) = (UPDATES * 8, UPDATES * 2);
 
 /// The RND workload.
 pub struct Gups {
@@ -45,12 +49,18 @@ impl Workload for Gups {
     fn fill(&mut self, out: &mut Vec<MemRef>) {
         // One batch = 64 updates. Each update: load the word, xor it,
         // store it back (the store hits the same page as the load).
-        for _ in 0..64 {
+        for _ in 0..UPDATES {
             let word = self.rng.next_below(self.table_bytes / 8);
             let addr = self.base.add(word * 8);
             out.push(MemRef::load(addr, pc(0), 5));
             out.push(MemRef::store(addr, pc(1), 1));
         }
+    }
+
+    fn advance(&mut self, max_instrs: u64, max_refs: u64) -> (u64, u64) {
+        let n = whole_batches(max_instrs, max_refs, BATCH);
+        self.rng.skip_draws(n * UPDATES);
+        (n * BATCH.0, n * BATCH.1)
     }
 }
 

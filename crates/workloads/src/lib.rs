@@ -127,8 +127,9 @@ impl Scale {
 ///
 /// Lifecycle: the simulator reads [`Workload::region_specs`], maps each
 /// region, calls [`Workload::init`] with the base addresses (in spec
-/// order), and then drains references batch-wise via [`Workload::fill`].
-/// Streams are infinite: generators restart their outer loop as needed.
+/// order), and then drains references batch-wise via [`Workload::fill`]
+/// (or jumps over batches via [`Workload::advance`]). Streams are
+/// infinite: generators restart their outer loop as needed.
 pub trait Workload: Send {
     /// The paper's workload abbreviation (e.g. "BFS", "RND").
     fn name(&self) -> &'static str;
@@ -145,6 +146,78 @@ pub trait Workload: Send {
 
     /// Appends at least one reference to `out`.
     fn fill(&mut self, out: &mut Vec<MemRef>);
+
+    /// Moves the generator forward by whole batches without
+    /// materialising them — leaving it exactly where that many `fill`
+    /// calls would — and returns the `(instructions, references)`
+    /// advanced, neither of which passes its budget. The default
+    /// advances nothing, which is always correct:
+    /// [`WorkloadStream::skip`] generates whatever `advance` leaves.
+    fn advance(&mut self, max_instrs: u64, max_refs: u64) -> (u64, u64) {
+        let _ = (max_instrs, max_refs);
+        (0, 0)
+    }
+}
+
+/// Where a generator's batch goes: the stream's buffer, or (for a dry
+/// fill) a tally that only counts it.
+pub trait Sink {
+    /// Emits one reference.
+    fn push(&mut self, r: MemRef);
+}
+
+impl Sink for Vec<MemRef> {
+    #[inline]
+    fn push(&mut self, r: MemRef) {
+        Vec::push(self, r);
+    }
+}
+
+/// A [`Sink`] that keeps only the totals, for dry fills: a batch run
+/// into it updates the generator's RNG and algorithm state exactly as
+/// `fill` does but pushes nothing.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Tally {
+    instrs: u64,
+    refs: u64,
+}
+
+impl Sink for Tally {
+    #[inline]
+    fn push(&mut self, r: MemRef) {
+        self.instrs += r.instructions();
+        self.refs += 1;
+    }
+}
+
+impl Tally {
+    /// Runs `batch` dry while a worst-case batch of `worst =
+    /// (instructions, references)` still fits both budgets, so the
+    /// totals returned never pass either.
+    pub(crate) fn dry_run(
+        max_instrs: u64,
+        max_refs: u64,
+        worst: (u64, u64),
+        mut batch: impl FnMut(&mut Tally),
+    ) -> (u64, u64) {
+        let mut t = Tally::default();
+        while t.instrs + worst.0 <= max_instrs && t.refs + worst.1 <= max_refs {
+            let before = t;
+            batch(&mut t);
+            debug_assert!(
+                t.instrs - before.instrs <= worst.0 && t.refs - before.refs <= worst.1,
+                "a batch exceeded its worst case {worst:?}"
+            );
+        }
+        (t.instrs, t.refs)
+    }
+}
+
+/// Whole batches of a fixed `per = (instructions, references)` that fit
+/// both budgets.
+#[inline]
+pub(crate) fn whole_batches(max_instrs: u64, max_refs: u64, per: (u64, u64)) -> u64 {
+    (max_instrs / per.0).min(max_refs / per.1)
 }
 
 /// Pull-based adapter over a [`Workload`]'s batch interface.
@@ -187,6 +260,33 @@ impl WorkloadStream {
         let r = self.buf[self.pos];
         self.pos += 1;
         r
+    }
+
+    /// Consumes references exactly as repeated [`WorkloadStream::next_ref`]
+    /// calls would, stopping after `max_refs` references or at the first
+    /// reference whose running instruction total reaches `max_instrs`,
+    /// and returns the `(instructions, references)` consumed. The rest
+    /// of the buffered batch drains first, [`Workload::advance`] then
+    /// jumps over whole batches without generating them, and the
+    /// remainder is generated and consumed one reference at a time.
+    pub fn skip(&mut self, max_instrs: u64, max_refs: u64) -> (u64, u64) {
+        let (mut instrs, mut refs) = (0u64, 0u64);
+        let open = |instrs: u64, refs: u64| instrs < max_instrs && refs < max_refs;
+        while open(instrs, refs) && self.pos < self.buf.len() {
+            instrs += self.buf[self.pos].instructions();
+            refs += 1;
+            self.pos += 1;
+        }
+        if open(instrs, refs) {
+            let (i, r) = self.inner.advance(max_instrs - instrs, max_refs - refs);
+            instrs += i;
+            refs += r;
+        }
+        while open(instrs, refs) {
+            instrs += self.next_ref().instructions();
+            refs += 1;
+        }
+        (instrs, refs)
     }
 }
 

@@ -6,7 +6,7 @@
 //! per-nuclide cross sections through the giant index grid — a classic
 //! pointer-heavy, low-locality HPC pattern.
 
-use crate::{pc, RegionSpec, Scale, Workload};
+use crate::{pc, whole_batches, RegionSpec, Scale, Workload};
 use vm_types::{MemRef, SplitMix64, VirtAddr};
 
 const EGRID_POINTS_TINY: u64 = 1 << 18; // 256K points × 8B = 2MB
@@ -95,6 +95,22 @@ impl Workload for XsBench {
             out.push(MemRef::load(self.nuclide_grids.add(base), pc(12), 2));
             out.push(MemRef::load(self.nuclide_grids.add(base + XS_ENTRY_BYTES), pc(13), 6));
         }
+    }
+
+    fn advance(&mut self, max_instrs: u64, max_refs: u64) -> (u64, u64) {
+        // Over a power-of-two grid every search halves its range exactly,
+        // so each history makes log2(points) probes (gap 3) whatever its
+        // target, then three gathers (gaps 4, 2, 6) per lookup; it draws
+        // the target plus one nuclide per lookup. Other sizes (and an
+        // empty grid, whose bound would skip the draw) take the default.
+        if !self.egrid_points.is_power_of_two() {
+            return (0, 0);
+        }
+        let probes = self.egrid_points.trailing_zeros() as u64;
+        let batch = (probes * 4 + LOOKUPS_PER_HISTORY * 15, probes + LOOKUPS_PER_HISTORY * 3);
+        let n = whole_batches(max_instrs, max_refs, batch);
+        self.rng.skip_draws(n * (1 + LOOKUPS_PER_HISTORY));
+        (n * batch.0, n * batch.1)
     }
 }
 
