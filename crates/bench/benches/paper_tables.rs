@@ -3,12 +3,13 @@
 //! statistical micro-benchmark).
 
 use victima_bench::{experiments, ExpCtx};
+use workloads::Scale;
 
 fn main() {
     // Respect `cargo bench -- <filter>`-style arguments minimally: any
     // non-flag argument restricts to matching experiment ids.
     let filters: Vec<String> = std::env::args().skip(1).filter(|a| !a.starts_with('-')).collect();
-    let ctx = ExpCtx::quick();
+    let ctx = ExpCtx::quick_at(Scale::Full);
     let start = std::time::Instant::now();
     let ids: Vec<&str> = experiments::ALL_IDS
         .iter()

@@ -235,7 +235,7 @@ fn main() {
     } else if quick {
         ExpCtx::quick_at(scale.unwrap_or(workloads::Scale::Full))
     } else {
-        ExpCtx::at_scale(scale.unwrap_or(workloads::Scale::Full))
+        env_ctx(scale.unwrap_or(workloads::Scale::Full))
     };
     if let Some(n) = jobs {
         ctx = ctx.with_jobs(n);
@@ -400,7 +400,7 @@ fn profile_cli(mut args: Vec<String>) -> i32 {
     let ids: Vec<&str> =
         if args.is_empty() { experiments::checked_ids() } else { args.iter().map(String::as_str).collect() };
     let mut ctx = match scale {
-        Some(s) => ExpCtx::at_scale(s),
+        Some(s) => env_ctx(s),
         None => ExpCtx::check(),
     };
     if let Some(n) = jobs {
@@ -434,6 +434,15 @@ fn profile_cli(mut args: Vec<String>) -> i32 {
 /// bare `trace record` on a Tiny workload is committed-baseline sized).
 const TRACE_WARMUP: u64 = 5_000;
 const TRACE_INSTR: u64 = 50_000;
+
+/// [`ExpCtx::at_scale`], exiting 2 on a malformed `VICTIMA_INSTR` /
+/// `VICTIMA_WARMUP` value.
+fn env_ctx(scale: workloads::Scale) -> ExpCtx {
+    ExpCtx::at_scale(scale).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
 
 /// Resolves the `--scale` flag; `None` when absent so each surface
 /// applies its own default (Tiny for the trace/ckpt CLIs, Full for the

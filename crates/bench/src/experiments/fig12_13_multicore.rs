@@ -32,8 +32,7 @@ pub fn fig13(ctx: &ExpCtx) -> Vec<ExperimentReport> {
 
 fn run_fig(ctx: &ExpCtx, id: &str, title: &str, mixes: &[Mix]) -> ExperimentReport {
     let mechs = mechanisms();
-    let runner = ctx.runner();
-    let (scale, warmup, instructions) = (runner.scale, runner.warmup, runner.instructions);
+    let (scale, warmup, instructions) = ctx.budget();
 
     // Every (mix, mechanism) pair fans out over the engine's worker pool;
     // one mix run is itself a deterministic single-threaded simulation.

@@ -18,14 +18,11 @@ use workloads::registry::WORKLOAD_NAMES;
 /// batch over the suite; tracking makes runs slower, so the budget is
 /// capped).
 fn collect_dataset(ctx: &ExpCtx) -> Vec<Sample> {
-    let runner = ctx.runner();
-    let instructions = runner.instructions.min(600_000);
-    let warmup = runner.warmup.min(50_000);
+    let (scale, warmup, instructions) = ctx.budget();
+    let (warmup, instructions) = (warmup.min(50_000), instructions.min(600_000));
     let specs: Vec<RunSpec> = WORKLOAD_NAMES
         .iter()
-        .map(|&name| {
-            RunSpec::new(name, SystemConfig::radix(), runner.scale, warmup, instructions).with_features()
-        })
+        .map(|&name| RunSpec::new(name, SystemConfig::radix(), scale, warmup, instructions).with_features())
         .collect();
     let mut merged = FeatureTracker::new();
     for result in ctx.engine().run_batch(specs) {

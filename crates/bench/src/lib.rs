@@ -17,7 +17,7 @@ pub mod trace;
 
 use obs::{merge_snapshots, MetricValue, SpanEvent};
 use report::Provenance;
-use sim::{ObsMode, RunSpec, Runner, SamplingConfig, SimEngine, SimStats, SystemConfig};
+use sim::{ObsMode, RunSpec, SamplingConfig, SimEngine, SimStats, SystemConfig};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use workloads::{registry::WORKLOAD_NAMES, Scale};
@@ -36,7 +36,9 @@ struct ObsData {
 /// Shared context for all experiments.
 #[derive(Clone)]
 pub struct ExpCtx {
-    runner: Runner,
+    scale: Scale,
+    warmup: u64,
+    instructions: u64,
     engine: SimEngine,
     /// When set, suite runs execute under SMARTS-style interval sampling
     /// (the `--sampling` flag) instead of full detail.
@@ -47,27 +49,47 @@ pub struct ExpCtx {
     obs: Option<Arc<Mutex<ObsData>>>,
 }
 
+/// Parses one budget variable's raw value: unset falls back to
+/// `default`, a set value must be a non-negative integer.
+fn parse_budget(name: &str, raw: Option<&str>, default: u64) -> Result<u64, String> {
+    match raw {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("{name}: expected a non-negative integer, got {v:?}")),
+    }
+}
+
+fn env_budget(name: &str, default: u64) -> Result<u64, String> {
+    parse_budget(name, std::env::var(name).ok().as_deref(), default)
+}
+
 impl ExpCtx {
-    /// Full-scale context (budgets from `VICTIMA_INSTR`/`VICTIMA_WARMUP`,
-    /// workers from `VICTIMA_JOBS`).
-    pub fn new() -> Self {
-        Self::at_scale(Scale::Full)
+    /// A context with explicit scale and budgets; workers come from
+    /// `VICTIMA_JOBS` (override with [`ExpCtx::with_jobs`]).
+    pub fn with_budget(scale: Scale, warmup: u64, instructions: u64) -> Self {
+        Self {
+            scale,
+            warmup,
+            instructions,
+            engine: SimEngine::new(),
+            sampling: None,
+            cache: Arc::new(Mutex::new(HashMap::new())),
+            obs: None,
+        }
+    }
+
+    /// Context at an explicit workload scale (the `--scale` flag), with
+    /// budgets from `VICTIMA_INSTR`/`VICTIMA_WARMUP` (defaults 2M/200K).
+    /// Errors name the variable when either is set but not a
+    /// non-negative integer.
+    pub fn at_scale(scale: Scale) -> Result<Self, String> {
+        let instructions = env_budget("VICTIMA_INSTR", 2_000_000)?;
+        let warmup = env_budget("VICTIMA_WARMUP", 200_000)?;
+        Ok(Self::with_budget(scale, warmup, instructions))
     }
 
     /// Quick context for CI / `cargo bench` smoke runs.
-    pub fn quick() -> Self {
-        Self::quick_at(Scale::Full)
-    }
-
-    /// Context at an explicit workload scale (the `--scale` flag);
-    /// budgets still come from `VICTIMA_INSTR`/`VICTIMA_WARMUP`.
-    pub fn at_scale(scale: Scale) -> Self {
-        Self::with_runner(Runner::new(scale))
-    }
-
-    /// [`ExpCtx::quick`] at an explicit workload scale.
     pub fn quick_at(scale: Scale) -> Self {
-        Self::with_runner(Runner::with_budget(scale, 60_000, 600_000))
+        Self::with_budget(scale, 60_000, 600_000)
     }
 
     /// The pinned regression-check profile: Tiny scale, fixed budgets,
@@ -77,18 +99,7 @@ impl ExpCtx {
     /// are generated at exactly this profile; `--check` refuses baselines
     /// whose provenance differs.
     pub fn check() -> Self {
-        Self::with_runner(Runner::with_budget(Scale::Tiny, 5_000, 50_000))
-    }
-
-    /// A context with an explicit runner and worker count (tests).
-    pub fn custom(runner: Runner, jobs: usize) -> Self {
-        Self {
-            runner,
-            engine: SimEngine::with_jobs(jobs),
-            sampling: None,
-            cache: Arc::new(Mutex::new(HashMap::new())),
-            obs: None,
-        }
+        Self::with_budget(Scale::Tiny, 5_000, 50_000)
     }
 
     /// Overrides the worker count (the `--jobs` flag): takes precedence
@@ -131,19 +142,9 @@ impl ExpCtx {
         self
     }
 
-    fn with_runner(runner: Runner) -> Self {
-        Self {
-            runner,
-            engine: SimEngine::new(),
-            sampling: None,
-            cache: Arc::new(Mutex::new(HashMap::new())),
-            obs: None,
-        }
-    }
-
-    /// The underlying runner (scale + budget defaults).
-    pub fn runner(&self) -> &Runner {
-        &self.runner
+    /// The context's `(scale, warmup, instructions)` profile.
+    pub fn budget(&self) -> (Scale, u64, u64) {
+        (self.scale, self.warmup, self.instructions)
     }
 
     /// The underlying batch engine.
@@ -158,9 +159,9 @@ impl ExpCtx {
     /// byte-identical across `VICTIMA_JOBS` settings.
     pub fn provenance<'a>(&self, cfgs: impl IntoIterator<Item = &'a SystemConfig>) -> Provenance {
         Provenance {
-            scale: format!("{:?}", self.runner.scale),
-            warmup: self.runner.warmup,
-            instructions: self.runner.instructions,
+            scale: format!("{:?}", self.scale),
+            warmup: self.warmup,
+            instructions: self.instructions,
             seed: vm_types::DEFAULT_SEED,
             engine: sim::ENGINE_ID.to_owned(),
             configs: cfgs.into_iter().map(|c| c.name.clone()).collect(),
@@ -223,7 +224,7 @@ impl ExpCtx {
         let specs: Vec<RunSpec> = jobs
             .iter()
             .map(|(cfg, w)| {
-                let spec = self.runner.spec(w, cfg);
+                let spec = RunSpec::new(*w, cfg.clone(), self.scale, self.warmup, self.instructions);
                 match self.sampling {
                     Some(s) => spec.with_sampling(s),
                     None => spec,
@@ -244,12 +245,6 @@ impl ExpCtx {
         for ((cfg, w), r) in jobs.into_iter().zip(results) {
             cache.insert((cfg.name, w), r.stats);
         }
-    }
-}
-
-impl Default for ExpCtx {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -279,7 +274,7 @@ mod tests {
 
     #[test]
     fn cache_deduplicates_runs() {
-        let ctx = ExpCtx::custom(Runner::with_budget(Scale::Tiny, 2_000, 20_000), 2);
+        let ctx = ExpCtx::with_budget(Scale::Tiny, 2_000, 20_000).with_jobs(2);
         let cfg = SystemConfig::radix();
         let a = ctx.one(&cfg, "RND");
         let b = ctx.one(&cfg, "RND");
@@ -290,7 +285,7 @@ mod tests {
 
     #[test]
     fn suites_batch_through_the_engine() {
-        let ctx = ExpCtx::custom(Runner::with_budget(Scale::Tiny, 500, 5_000), 2);
+        let ctx = ExpCtx::with_budget(Scale::Tiny, 500, 5_000).with_jobs(2);
         let cfgs = [SystemConfig::radix(), SystemConfig::victima()];
         let results = ctx.suites(&cfgs);
         assert_eq!(results.len(), 2);
@@ -311,6 +306,20 @@ mod tests {
         assert_eq!(p.configs, vec!["Victima"]);
         assert_eq!(p.workloads.len(), WORKLOAD_NAMES.len());
         assert_eq!(p.engine, sim::ENGINE_ID);
+    }
+
+    #[test]
+    fn budget_variables_default_when_unset_and_reject_garbage() {
+        assert_eq!(parse_budget("VICTIMA_INSTR", None, 2_000_000), Ok(2_000_000));
+        assert_eq!(parse_budget("VICTIMA_INSTR", Some("60000"), 2_000_000), Ok(60_000));
+        assert_eq!(parse_budget("VICTIMA_WARMUP", Some("0"), 200_000), Ok(0));
+        assert_eq!(
+            parse_budget("VICTIMA_INSTR", Some("2e6"), 2_000_000),
+            Err("VICTIMA_INSTR: expected a non-negative integer, got \"2e6\"".to_owned())
+        );
+        for bad in ["", "-1", " 5", "1_000"] {
+            assert!(parse_budget("VICTIMA_WARMUP", Some(bad), 200_000).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -101,11 +101,10 @@ pub fn profile_report(ctx: &ExpCtx, ids: &[&str]) -> Result<ExperimentReport, St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::Runner;
     use workloads::Scale;
 
     fn tiny_obs_ctx() -> ExpCtx {
-        ExpCtx::custom(Runner::with_budget(Scale::Tiny, 500, 5_000), 2).with_obs()
+        ExpCtx::with_budget(Scale::Tiny, 500, 5_000).with_jobs(2).with_obs()
     }
 
     #[test]
@@ -135,7 +134,7 @@ mod tests {
     fn profile_report_rejects_unknown_ids_and_blind_contexts() {
         let ctx = tiny_obs_ctx();
         assert!(profile_report(&ctx, &["warp-drive"]).unwrap_err().contains("unknown experiment"));
-        let blind = ExpCtx::custom(Runner::with_budget(Scale::Tiny, 500, 5_000), 1);
+        let blind = ExpCtx::with_budget(Scale::Tiny, 500, 5_000).with_jobs(1);
         assert!(profile_report(&blind, &["calibrate"]).unwrap_err().contains("no spans"));
     }
 }

@@ -2,7 +2,6 @@
 //! rendered `REPORT.md` (golden file), canonical committed baselines, and
 //! the check gate against those baselines.
 
-use sim::Runner;
 use victima_bench::{experiments, ExpCtx};
 use workloads::Scale;
 
@@ -11,7 +10,7 @@ use workloads::Scale;
 const GOLDEN_IDS: [&str; 3] = ["fig04", "fig11", "fig24"];
 
 fn golden_reports(jobs: usize) -> Vec<victima_bench::ExperimentReport> {
-    let ctx = ExpCtx::custom(Runner::with_budget(Scale::Tiny, 1_000, 10_000), jobs);
+    let ctx = ExpCtx::with_budget(Scale::Tiny, 1_000, 10_000).with_jobs(jobs);
     GOLDEN_IDS.iter().flat_map(|id| experiments::by_id(&ctx, id).expect("known id")).collect()
 }
 

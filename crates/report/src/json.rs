@@ -253,9 +253,16 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse_json`] accepts. Reports and
+/// service requests nest under 10 deep; the cap keeps a hostile
+/// `[[[[…` document from overflowing the recursive parser's stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -298,11 +305,25 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(JsonValue::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(JsonValue::Bool(false)),
             Some(b'"') => self.parse_string().map(JsonValue::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => self.err("expected a JSON value"),
         }
+    }
+
+    /// Parses one array/object, refusing to open more than [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, ParseError>,
+    ) -> Result<JsonValue, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn parse_array(&mut self) -> Result<JsonValue, ParseError> {
@@ -462,9 +483,10 @@ impl Parser<'_> {
     }
 }
 
-/// Parses a JSON document.
+/// Parses a JSON document. Arrays and objects may nest at most 128
+/// deep; deeper documents are a [`ParseError`].
 pub fn parse_json(text: &str) -> Result<JsonValue, ParseError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     let v = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -706,6 +728,17 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "nul", "1 2", "\"\\q\"", "{\"a\":}", "[01x]"] {
             assert!(parse_json(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_bombs_are_errors_not_stack_overflows() {
+        let err = parse_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than 128"), "{err}");
+        assert!(parse_json(&"{\"a\":".repeat(200_000)).is_err());
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&deepest).is_ok(), "{MAX_DEPTH} levels must still parse");
+        let too_deep = format!("[{deepest}]");
+        assert!(parse_json(&too_deep).is_err());
     }
 
     #[test]

@@ -287,17 +287,12 @@ impl SimEngine {
     /// Panics if the spec names an unknown workload or pairs a mechanism
     /// with an unsupported execution mode.
     pub fn run_one(index: usize, spec: &RunSpec) -> RunResult {
-        Self::run_one_reusing(index, spec, &mut RunScratch::default())
+        Self::run_one_observed(index, spec, &mut RunScratch::default(), ObsMode::from_env())
     }
 
-    /// [`SimEngine::run_one`] with a caller-owned [`RunScratch`]: the
+    /// [`SimEngine::run_one`] with a caller-owned [`RunScratch`] (the
     /// worker-pool entry point, which recycles each worker's buffers
-    /// across the specs it executes.
-    pub fn run_one_reusing(index: usize, spec: &RunSpec, scratch: &mut RunScratch) -> RunResult {
-        Self::run_one_observed(index, spec, scratch, ObsMode::from_env())
-    }
-
-    /// [`SimEngine::run_one_reusing`] with an explicit observability
+    /// across the specs it executes) and an explicit observability
     /// mode. Enablement is post-construction system state (like the
     /// record hook), so the spec fingerprint and the statistics are
     /// untouched in every mode; metrics and spans come back on the
@@ -423,17 +418,6 @@ impl SimEngine {
             .map(|m| m.into_inner().expect("result slot poisoned").expect("worker filled every slot"))
             .collect()
     }
-
-    /// Runs one config over the full 11-workload suite (figure order).
-    pub fn run_suite(
-        &self,
-        cfg: &SystemConfig,
-        scale: Scale,
-        warmup: u64,
-        instructions: u64,
-    ) -> Vec<RunResult> {
-        self.run_batch(suite_specs(cfg, scale, warmup, instructions))
-    }
 }
 
 impl Default for SimEngine {
@@ -505,6 +489,17 @@ mod tests {
         let r = SimEngine::with_jobs(1).run_batch(vec![spec]);
         assert!(r[0].features.is_some());
         assert!(!r[0].features.as_ref().unwrap().dataset(0.3).is_empty());
+    }
+
+    #[test]
+    fn tiny_radix_run_produces_activity() {
+        let spec = RunSpec::new("RND", SystemConfig::radix(), Scale::Tiny, 5_000, 50_000);
+        let s = SimEngine::run_one(0, &spec).stats;
+        assert!(s.instructions >= 50_000);
+        assert!(s.cycles() > s.instructions / 4, "at least base CPI");
+        assert!(s.l2_tlb_misses > 0, "RND must thrash the TLB");
+        assert!(s.ptws > 0);
+        assert!(s.ptw_latency_mean > 20.0);
     }
 
     #[test]

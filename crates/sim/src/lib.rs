@@ -23,11 +23,11 @@
 //! # Examples
 //!
 //! ```
-//! use sim::{Runner, SystemConfig};
+//! use sim::{RunSpec, SimEngine, SystemConfig};
 //! use workloads::Scale;
 //!
-//! let cfg = SystemConfig::victima();
-//! let stats = Runner::new(Scale::Tiny).run("RND", &cfg, 20_000, 200_000);
+//! let spec = RunSpec::new("RND", SystemConfig::victima(), Scale::Tiny, 20_000, 200_000);
+//! let stats = SimEngine::run_one(0, &spec).stats;
 //! assert!(stats.instructions >= 200_000);
 //! assert!(stats.cycles() > 0);
 //! ```
@@ -40,7 +40,6 @@ pub mod engine;
 pub mod epochs;
 pub mod multicore;
 pub mod obs;
-pub mod runner;
 pub mod sampling;
 pub mod scheduler;
 pub mod stats;
@@ -52,7 +51,6 @@ pub use engine::{suite_specs, RunResult, RunScratch, RunSpec, SimEngine, ENGINE_
 pub use epochs::EpochTracker;
 pub use multicore::{slot_seed, MultiCoreStats, MultiCoreSystem, ProcSummary};
 pub use obs::{ObsMode, SimMetrics};
-pub use runner::Runner;
 pub use sampling::SamplingConfig;
 pub use scheduler::{CtxSwitchPolicy, SchedConfig, SchedMode, Scheduler};
 pub use stats::{weighted_speedup, SamplingMeta, SimStats};

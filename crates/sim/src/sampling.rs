@@ -187,7 +187,11 @@ pub fn run_sampled(sys: &mut System, warmup: u64, measured: u64, cfg: &SamplingC
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::runner::Runner;
+    use workloads::{registry, Scale};
+
+    fn tiny(workload: &str, cfg: SystemConfig) -> System {
+        System::new(cfg, registry::by_name(workload, Scale::Tiny).unwrap())
+    }
 
     #[test]
     fn parse_accepts_two_and_three_part_specs() {
@@ -230,8 +234,7 @@ mod tests {
 
     #[test]
     fn sampled_run_measures_the_requested_budget() {
-        let r = Runner::with_budget(workloads::Scale::Tiny, 2_000, 20_000);
-        let mut sys = r.build("RND", &SystemConfig::radix());
+        let mut sys = tiny("RND", SystemConfig::radix());
         let cfg = SamplingConfig { fast: 10_000, detailed: 2_000, warm: 1_000 };
         run_sampled(&mut sys, 2_000, 20_000, &cfg);
         let s = &sys.stats;
@@ -250,8 +253,7 @@ mod tests {
     fn sampled_stats_are_deterministic() {
         let cfg = SamplingConfig { fast: 8_000, detailed: 1_000, warm: 500 };
         let run = || {
-            let r = Runner::with_budget(workloads::Scale::Tiny, 1_000, 8_000);
-            let mut sys = r.build("XS", &SystemConfig::victima());
+            let mut sys = tiny("XS", SystemConfig::victima());
             run_sampled(&mut sys, 1_000, 8_000, &cfg);
             sys.stats.clone()
         };
@@ -269,9 +271,8 @@ mod tests {
 
         const SKIP: u64 = 300_007;
         for workload in ["RND", "GEN", "DLRM", "XS", "BFS", "TC"] {
-            let r = Runner::with_budget(workloads::Scale::Tiny, 1_000, 5_000);
             let run = |hook: Option<Rc<Cell<u64>>>| {
-                let mut sys = r.build(workload, &SystemConfig::victima());
+                let mut sys = tiny(workload, SystemConfig::victima());
                 if let Some(fired) = hook {
                     sys.set_record_hook(Box::new(move |_| fired.set(fired.get() + 1)));
                 }
@@ -300,11 +301,10 @@ mod tests {
     fn single_window_degenerates_to_full_detail() {
         // A detailed window covering the whole budget takes no
         // fast-forward intervals and must match run_with_warmup exactly.
-        let r = Runner::with_budget(workloads::Scale::Tiny, 1_000, 10_000);
-        let mut full = r.build("RND", &SystemConfig::radix());
+        let mut full = tiny("RND", SystemConfig::radix());
         full.run_with_warmup(1_000, 10_000);
         full.finalize_stats();
-        let mut sampled = r.build("RND", &SystemConfig::radix());
+        let mut sampled = tiny("RND", SystemConfig::radix());
         let cfg = SamplingConfig { fast: 1_000_000, detailed: 10_000, warm: 0 };
         run_sampled(&mut sampled, 1_000, 10_000, &cfg);
         let meta = sampled.stats.sampling.take().expect("meta present");

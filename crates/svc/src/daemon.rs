@@ -27,6 +27,9 @@
 //!   journal record that no longer reads or parses is skipped with a
 //!   warning (and counted in `status`), never allowed to poison the
 //!   restart.
+//! - **Client is hostile**: a request line past [`MAX_REQUEST_BYTES`] or
+//!   nested past the JSON parser's depth cap gets a `fault` reply; the
+//!   daemon never buffers or recurses without bound.
 //!
 //! The daemon can also turn these failures on *itself*: a
 //! [`FaultPlan`] (from `serve --faults` / `VICTIMA_SVC_FAULTS`) injects
@@ -47,7 +50,7 @@ use crate::worker::{ExecError, Executor, WorkerBackend};
 use obs::{MetricId, Registry};
 use report::json::JsonValue;
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -77,6 +80,10 @@ const BACKOFF_BASE: Duration = Duration::from_millis(50);
 
 /// Backoff ceiling (keeps `--retries 10` from sleeping for minutes).
 const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
+/// Longest request line (newline included) a connection may send; a
+/// longer one is answered with a fault instead of being buffered.
+pub const MAX_REQUEST_BYTES: u64 = 1 << 20;
 
 /// Startup parameters for a daemon.
 #[derive(Clone, Debug)]
@@ -548,14 +555,19 @@ fn resume_pending(state: &Arc<State>, pending: Vec<(String, String)>) {
 
 fn handle_conn(state: &Arc<State>, mut stream: TcpStream) {
     let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
+        Ok(clone) => clone.take(MAX_REQUEST_BYTES + 1),
         Err(_) => return,
     });
     let mut line = String::new();
-    if reader.read_line(&mut line).unwrap_or(0) == 0 {
+    let n = reader.read_line(&mut line).unwrap_or(0);
+    if n == 0 {
         return;
     }
     let mut sink = Some(&mut stream);
+    if n as u64 > MAX_REQUEST_BYTES {
+        send(&mut sink, &fault_line(&format!("request line longer than {MAX_REQUEST_BYTES} bytes")));
+        return;
+    }
     match parse_request(line.trim()) {
         Err(e) => send(&mut sink, &fault_line(&e)),
         Ok(Request::Status) => send(&mut sink, &state.status().to_line()),

@@ -45,7 +45,7 @@ pub mod worker;
 
 pub use cache::ResultCache;
 pub use client::{connect, metrics, run_local, shutdown, status, submit, ClientOptions, SweepSummary};
-pub use daemon::{run, start, DaemonConfig, DaemonHandle, ADDR_FILE, PID_FILE};
+pub use daemon::{run, start, DaemonConfig, DaemonHandle, ADDR_FILE, MAX_REQUEST_BYTES, PID_FILE};
 pub use fault::{fnv1a64, CacheFault, FaultPlan, WorkerFault, FAULTS_ENV};
 pub use journal::Journal;
 pub use log::{Level, Logger, LOG_FILE};

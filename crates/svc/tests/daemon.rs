@@ -2,6 +2,7 @@
 //! worker backend (the process backend is exercised against the real
 //! `experiments` binary in `victima-bench`'s service tests).
 
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use svc::{DaemonConfig, DaemonHandle, FaultPlan, StreamLine, SweepRequest, WorkerBackend};
 use workloads::Scale;
@@ -95,6 +96,23 @@ fn malformed_and_invalid_requests_fault_without_side_effects() {
     let status = svc::status(&dir).expect("status answers");
     assert_eq!(status.jobs_accepted, 0, "a faulted request must not be journaled");
     assert_eq!(status.cache_entries, 0);
+
+    // Hostile lines: a nesting bomb, and a line past the length cap
+    // (sent without its newline so the daemon reads every byte).
+    let bomb = format!("{}\n", "[".repeat(200_000));
+    let long = "x".repeat(svc::MAX_REQUEST_BYTES as usize + 1);
+    for (what, raw) in [("nesting bomb", bomb), ("over-long line", long)] {
+        let mut stream = svc::connect(&dir).expect("daemon reachable");
+        stream.write_all(raw.as_bytes()).expect("send raw line");
+        let mut reply = String::new();
+        BufReader::new(stream).read_line(&mut reply).expect("read reply");
+        match svc::parse_stream_line(reply.trim()) {
+            Ok(StreamLine::Fault { .. }) => {}
+            other => panic!("{what}: expected a fault reply, got {other:?}"),
+        }
+        let status = svc::status(&dir).unwrap_or_else(|e| panic!("{what}: status must still answer: {e}"));
+        assert_eq!(status.jobs_accepted, 0, "{what} must not be journaled");
+    }
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -4,7 +4,7 @@
 //! equal the page table's ground truth, including across shootdowns and
 //! migrations.
 
-use victima_repro::sim::{Runner, System, SystemConfig};
+use victima_repro::sim::{RunSpec, SimEngine, System, SystemConfig};
 use victima_repro::types::{SplitMix64, VirtAddr};
 use victima_repro::workloads::{registry, RegionSpec, Scale, Workload};
 
@@ -140,9 +140,9 @@ fn context_switch_flush_is_safe() {
 /// without page faults and with plausible statistics.
 #[test]
 fn all_workloads_run_on_baseline() {
-    let runner = Runner::with_budget(Scale::Tiny, 2_000, 30_000);
     for name in registry::WORKLOAD_NAMES {
-        let stats = runner.run_default(name, &SystemConfig::radix());
+        let spec = RunSpec::new(name, SystemConfig::radix(), Scale::Tiny, 2_000, 30_000);
+        let stats = SimEngine::run_one(0, &spec).stats;
         assert!(stats.instructions >= 30_000, "{name}");
         assert!(stats.mem_refs > 0, "{name}");
         assert!(stats.cycles() > 0, "{name}");

@@ -65,17 +65,3 @@ fn seeded_specs_are_independent_but_reproducible() {
     assert_eq!(results[0].stats, results[2].stats, "equal seeds must reproduce");
     assert_ne!(results[0].stats, results[1].stats, "fresh seeds must perturb the run");
 }
-
-/// `Runner::run_suite` (the thin wrapper) agrees with driving the engine
-/// directly.
-#[test]
-fn runner_suite_matches_engine_suite() {
-    let runner = victima_repro::sim::Runner::with_budget(Scale::Tiny, 1_000, 10_000);
-    let cfg = SystemConfig::radix();
-    let via_runner = runner.run_suite(&cfg);
-    let via_engine = SimEngine::with_jobs(2).run_suite(&cfg, Scale::Tiny, 1_000, 10_000);
-    for ((name, stats), r) in via_runner.iter().zip(&via_engine) {
-        assert_eq!(*name, r.workload.as_str());
-        assert_eq!(*stats, r.stats);
-    }
-}

@@ -3,14 +3,13 @@
 //! and ASID-selective invalidation (entries of *other* address spaces must
 //! survive).
 
-use sim::{Runner, SystemConfig};
+use sim::{System, SystemConfig};
 use tlb_sim::{SetAssocTlb, TlbConfig, TlbEntry};
 use vm_types::{Asid, PageSize, VirtAddr};
-use workloads::Scale;
+use workloads::{registry, Scale};
 
-fn warm_system(cfg: &SystemConfig) -> (sim::System, VirtAddr) {
-    let r = Runner::with_budget(Scale::Tiny, 1_000, 10_000);
-    let mut sys = r.build("RND", cfg);
+fn warm_system(cfg: &SystemConfig) -> (System, VirtAddr) {
+    let mut sys = System::new(cfg.clone(), registry::by_name("RND", Scale::Tiny).unwrap());
     sys.run(5_000);
     // Find a 4KB-mapped address the TLBs now hold: translate a fresh one.
     let mut probe = 0x2000_0000u64;

@@ -2,17 +2,17 @@
 //! Victima's reach, its PTW reductions, the predictor's effect, and the
 //! eviction flow.
 
-use victima_repro::sim::{Runner, SystemConfig, TranslationMechanism};
+use victima_repro::sim::{RunSpec, SimEngine, SimStats, SystemConfig, TranslationMechanism};
 use victima_repro::workloads::Scale;
 
-fn runner() -> Runner {
-    Runner::with_budget(Scale::Tiny, 20_000, 200_000)
+/// One RND run at Tiny scale with the shared test budget.
+fn run(cfg: SystemConfig) -> SimStats {
+    SimEngine::run_one(0, &RunSpec::new("RND", cfg, Scale::Tiny, 20_000, 200_000)).stats
 }
 
 #[test]
 fn victima_extends_translation_reach() {
-    let r = runner();
-    let s = r.run("RND", &SystemConfig::victima(), r.warmup, r.instructions);
+    let s = run(SystemConfig::victima());
     // Baseline L2 TLB reach is 1536 x 4KB = 6MB; TLB blocks should extend
     // well beyond that even at Tiny scale.
     assert!(
@@ -25,9 +25,8 @@ fn victima_extends_translation_reach() {
 
 #[test]
 fn victima_reduces_both_walks_and_miss_latency() {
-    let r = runner();
-    let base = r.run("RND", &SystemConfig::radix(), r.warmup, r.instructions);
-    let vic = r.run("RND", &SystemConfig::victima(), r.warmup, r.instructions);
+    let base = run(SystemConfig::radix());
+    let vic = run(SystemConfig::victima());
     assert!(vic.ptw_reduction_vs(&base) > 0.1, "PTW reduction {:.2}", vic.ptw_reduction_vs(&base));
     assert!(
         vic.l2_miss_latency() < base.l2_miss_latency(),
@@ -40,28 +39,26 @@ fn victima_reduces_both_walks_and_miss_latency() {
 
 #[test]
 fn eviction_flow_issues_background_walks() {
-    let r = runner();
     // At Tiny scale every TLB block fits in the 2MB L2, so the eviction
     // flow's presence check correctly suppresses all background walks;
     // shrink the cache so blocks actually get displaced.
     let cfg = SystemConfig::victima().with_l2_cache_bytes(256 << 10);
-    let s = r.run("RND", &cfg, r.warmup, r.instructions);
+    let s = run(cfg);
     assert!(s.victima_background_walks > 0, "L2 TLB evictions should trigger background walks");
     assert!(s.victima_inserts > 0);
 }
 
 #[test]
 fn disabling_insertion_flows_disables_the_benefit() {
-    let r = runner();
     let mut off = SystemConfig::victima();
     if let TranslationMechanism::Victima(v) = &mut off.mechanism {
         v.insert_on_miss = false;
         v.insert_on_eviction = false;
     }
     off.name = "Victima-disabled".into();
-    let s = r.run("RND", &off, r.warmup, r.instructions);
+    let s = run(off);
     assert_eq!(s.victima_hits, 0, "no inserts → no probe hits");
-    let base = r.run("RND", &SystemConfig::radix(), r.warmup, r.instructions);
+    let base = run(SystemConfig::radix());
     // Without insertions Victima degenerates to the baseline (same walks).
     let reduction = s.ptw_reduction_vs(&base);
     assert!(reduction.abs() < 0.02, "expected ≈0 PTW reduction, got {reduction:.3}");
@@ -69,9 +66,8 @@ fn disabling_insertion_flows_disables_the_benefit() {
 
 #[test]
 fn tlb_aware_policy_keeps_more_blocks_than_agnostic() {
-    let r = runner();
-    let aware = r.run("RND", &SystemConfig::victima(), r.warmup, r.instructions);
-    let agnostic = r.run("RND", &SystemConfig::victima_agnostic_srrip(), r.warmup, r.instructions);
+    let aware = run(SystemConfig::victima());
+    let agnostic = run(SystemConfig::victima_agnostic_srrip());
     // Both work; the aware policy should hold at least as much reach.
     assert!(aware.reach_mean_bytes >= agnostic.reach_mean_bytes * 0.8);
     assert!(agnostic.victima_hits > 0);
@@ -81,9 +77,8 @@ fn tlb_aware_policy_keeps_more_blocks_than_agnostic() {
 fn stlb_behind_victima_adds_nothing_meaningful() {
     // Sec. 10: the paper finds a DUCATI-style full-memory STLB behind
     // Victima is worth only ~0.8%; the TLB blocks capture the value.
-    let r = runner();
-    let vic = r.run("RND", &SystemConfig::victima(), r.warmup, r.instructions);
-    let combo = r.run("RND", &SystemConfig::victima_plus_stlb(), r.warmup, r.instructions);
+    let vic = run(SystemConfig::victima());
+    let combo = run(SystemConfig::victima_plus_stlb());
     assert!(combo.victima_hits > 0, "Victima still runs inside the combo");
     let gain = combo.speedup_over(&vic) - 1.0;
     assert!(gain < 0.05, "the STLB should not add meaningful speedup, got {gain:.3}");
@@ -91,18 +86,16 @@ fn stlb_behind_victima_adds_nothing_meaningful() {
 
 #[test]
 fn pom_tlb_hits_and_spills() {
-    let r = runner();
-    let s = r.run("RND", &SystemConfig::pom_tlb(), r.warmup, r.instructions);
+    let s = run(SystemConfig::pom_tlb());
     assert!(s.pom_hits > 0, "POM-TLB should serve some misses");
     assert!(s.pom_misses > 0, "POM-TLB can't be perfect on RND");
 }
 
 #[test]
 fn ideal_backstops_order_by_latency() {
-    let r = runner();
-    let l1 = r.run("RND", &SystemConfig::ideal_backstop(4, "ideal-l1"), r.warmup, r.instructions);
-    let l2 = r.run("RND", &SystemConfig::ideal_backstop(16, "ideal-l2"), r.warmup, r.instructions);
-    let llc = r.run("RND", &SystemConfig::ideal_backstop(35, "ideal-llc"), r.warmup, r.instructions);
+    let l1 = run(SystemConfig::ideal_backstop(4, "ideal-l1"));
+    let l2 = run(SystemConfig::ideal_backstop(16, "ideal-l2"));
+    let llc = run(SystemConfig::ideal_backstop(35, "ideal-llc"));
     assert!(l1.l2_miss_latency() < l2.l2_miss_latency());
     assert!(l2.l2_miss_latency() < llc.l2_miss_latency());
     assert_eq!(l1.ptws, 0, "the oracle serves every miss");
@@ -110,10 +103,9 @@ fn ideal_backstops_order_by_latency() {
 
 #[test]
 fn larger_l2_tlbs_reduce_mpki_monotonically() {
-    let r = runner();
     let mut last = f64::INFINITY;
     for entries in [1536usize, 8192, 65536] {
-        let s = r.run("RND", &SystemConfig::with_l2_tlb(entries, 12), r.warmup, r.instructions);
+        let s = run(SystemConfig::with_l2_tlb(entries, 12));
         let mpki = s.l2_tlb_mpki();
         assert!(mpki <= last + 0.5, "MPKI should not grow with TLB size: {entries} gave {mpki:.1}");
         last = mpki;

@@ -3,18 +3,18 @@
 //! paging and virtualised Victima, and the virtualised mechanisms must
 //! show the paper's qualitative behaviour.
 
-use victima_repro::sim::{Runner, SystemConfig};
-use victima_repro::workloads::Scale;
+use victima_repro::sim::{RunSpec, SimEngine, SimStats, System, SystemConfig};
+use victima_repro::workloads::{registry, Scale};
 
-fn tiny_runner() -> Runner {
-    Runner::with_budget(Scale::Tiny, 10_000, 120_000)
+/// One RND run at Tiny scale with the shared test budget.
+fn run(cfg: SystemConfig) -> SimStats {
+    SimEngine::run_one(0, &RunSpec::new("RND", cfg, Scale::Tiny, 10_000, 120_000)).stats
 }
 
 #[test]
 fn nested_paging_translates_correctly() {
-    let r = tiny_runner();
     for cfg in [SystemConfig::nested_paging(), SystemConfig::pom_tlb_virt()] {
-        let mut sys = r.build("RND", &cfg);
+        let mut sys = System::new(cfg.clone(), registry::by_name("RND", Scale::Tiny).unwrap());
         sys.run(60_000);
         // Spot-check agreement on addresses the workload actually maps.
         let mut rng = victima_repro::types::SplitMix64::new(11);
@@ -31,9 +31,8 @@ fn nested_paging_translates_correctly() {
 
 #[test]
 fn victima_virt_translates_correctly_and_reduces_walks() {
-    let r = tiny_runner();
-    let np = r.run("RND", &SystemConfig::nested_paging(), r.warmup, r.instructions);
-    let vic = r.run("RND", &SystemConfig::victima_virt(), r.warmup, r.instructions);
+    let np = run(SystemConfig::nested_paging());
+    let vic = run(SystemConfig::victima_virt());
     assert!(vic.victima_hits > 0, "guest TLB blocks should serve misses");
     assert!(
         vic.host_ptw_reduction_vs(&np) > 0.3,
@@ -43,7 +42,7 @@ fn victima_virt_translates_correctly_and_reduces_walks() {
     assert!(vic.ptw_reduction_vs(&np) > 0.0, "guest walks should shrink");
 
     // Correctness under the virtualised Victima flows.
-    let mut sys = r.build("RND", &SystemConfig::victima_virt());
+    let mut sys = System::new(SystemConfig::victima_virt(), registry::by_name("RND", Scale::Tiny).unwrap());
     sys.run(60_000);
     let mut rng = victima_repro::types::SplitMix64::new(12);
     let mut checked = 0;
@@ -58,8 +57,8 @@ fn victima_virt_translates_correctly_and_reduces_walks() {
 
 #[test]
 fn shadow_paging_matches_nested_translation() {
-    let r = tiny_runner();
-    let mut sys = r.build("XS", &SystemConfig::ideal_shadow_paging());
+    let mut sys =
+        System::new(SystemConfig::ideal_shadow_paging(), registry::by_name("XS", Scale::Tiny).unwrap());
     sys.run(60_000);
     let mut rng = victima_repro::types::SplitMix64::new(13);
     let mut checked = 0;
@@ -74,9 +73,8 @@ fn shadow_paging_matches_nested_translation() {
 
 #[test]
 fn nested_walks_cost_more_than_native_walks() {
-    let r = tiny_runner();
-    let native = r.run("RND", &SystemConfig::radix(), r.warmup, r.instructions);
-    let np = r.run("RND", &SystemConfig::nested_paging(), r.warmup, r.instructions);
+    let native = run(SystemConfig::radix());
+    let np = run(SystemConfig::nested_paging());
     assert!(
         np.l2_miss_latency() > native.l2_miss_latency(),
         "2D walks must be costlier: native {:.0} vs NP {:.0}",
@@ -88,9 +86,8 @@ fn nested_walks_cost_more_than_native_walks() {
 
 #[test]
 fn ideal_shadow_paging_beats_nested_paging() {
-    let r = tiny_runner();
-    let np = r.run("RND", &SystemConfig::nested_paging(), r.warmup, r.instructions);
-    let isp = r.run("RND", &SystemConfig::ideal_shadow_paging(), r.warmup, r.instructions);
+    let np = run(SystemConfig::nested_paging());
+    let isp = run(SystemConfig::ideal_shadow_paging());
     assert!(isp.speedup_over(&np) > 1.0, "I-SP ≥ NP expected, got {:.3}", isp.speedup_over(&np));
     assert_eq!(isp.host_ptws, 0, "shadow paging needs no host walks");
 }
