@@ -165,9 +165,29 @@ fn tiny_nested_tables_match_recorded_fingerprints() {
     );
 }
 
+#[test]
+fn small_native_tables_match_recorded_fingerprints() {
+    assert_fingerprints(
+        "native",
+        Scale::Small,
+        native_fingerprint,
+        &[("RND", 0x89a18a9a05e4b2ce), ("XS", 0xbb2a8fa12c232750), ("BFS", 0xdeb6f8a5a1895ec7)],
+    );
+}
+
+#[test]
+fn small_nested_tables_match_recorded_fingerprints() {
+    assert_fingerprints(
+        "nested",
+        Scale::Small,
+        nested_fingerprint,
+        &[("RND", 0x0270f5f7a09b844f), ("XS", 0x4e5da88f94ba8fb4), ("BFS", 0x13c1e6b27b31a333)],
+    );
+}
+
 // The three largest Paper-scale set-ups take ~10 s in a debug build, so
-// tier-1 skips them; CI runs them in release with
-// `cargo test --release -p sim --test pt_fingerprints -- --ignored`.
+// tier-1 skips them; CI runs every scale in release with
+// `cargo test --release -p sim --test pt_fingerprints -- --include-ignored`.
 
 #[test]
 #[ignore]
