@@ -3,11 +3,11 @@
 //!
 //! The artifact (`BENCH_obs.json` by default) is an ordinary
 //! `victima-report/1` document — id [`OBS_ID`], one row per phase
-//! (warm-up, detailed windows, fast-forward, checkpoint restore) with
-//! span count, total time, mean span time and share of the profiled
-//! wall-clock — so the existing renderers, parsers and CI artifact
-//! plumbing all apply unchanged. Headline simulator metrics (walks,
-//! TLB misses, PWC hits) ride along as report metrics.
+//! (set-up, warm-up, detailed windows, fast-forward, checkpoint
+//! restore) with span count, total time, mean span time and share of
+//! the profiled wall-clock — so the existing renderers, parsers and CI
+//! artifact plumbing all apply unchanged. Headline simulator metrics
+//! (walks, TLB misses, PWC hits) ride along as report metrics.
 //!
 //! Wall-clock numbers are machine-dependent, so this artifact — like
 //! `BENCH_throughput.json` — is *not* part of `experiments --check`;
@@ -114,6 +114,7 @@ mod tests {
         assert_eq!(r.id, OBS_ID);
         assert!(!r.rows.is_empty(), "calibrate must produce phase rows");
         let labels: Vec<&str> = r.rows.iter().map(|row| row.label.as_str()).collect();
+        assert!(labels.contains(&"setup"), "{labels:?}");
         assert!(labels.contains(&"warmup"), "{labels:?}");
         assert!(labels.contains(&"measured"), "{labels:?}");
         // Shares are fractions (Percent renders ×100) summing to ~1.

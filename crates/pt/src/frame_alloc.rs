@@ -106,6 +106,36 @@ impl FrameAllocator {
         frame
     }
 
+    /// Fills `out` with the frames that `out.len()` calls to
+    /// [`FrameAllocator::alloc_4k`] would return, in order, leaving the
+    /// allocator (cursor, skip RNG and log) exactly where they would.
+    /// The cursor and RNG stay in locals for the whole run.
+    ///
+    /// # Panics
+    ///
+    /// Panics on physical-memory exhaustion.
+    pub fn alloc_4k_into(&mut self, out: &mut [u64]) {
+        let (mut next, mut rng) = (self.next_frame, self.rng.clone());
+        for slot in out.iter_mut() {
+            if self.max_skip > 0 {
+                next += rng.next_below(self.max_skip + 1);
+            }
+            *slot = next;
+            next += 1;
+        }
+        (self.next_frame, self.rng) = (next, rng);
+        // Frames only grow, so the last one decides exhaustion.
+        if let Some(&last) = out.last() {
+            assert!(last < self.capacity_frames, "out of simulated physical memory");
+        }
+        if self.logging {
+            // One push per frame grows the log exactly as `alloc_4k` does.
+            for &frame in out.iter() {
+                self.log.push((frame, 1));
+            }
+        }
+    }
+
     /// Allocates one naturally aligned 2MB region; returns its first 4KB
     /// frame number.
     ///
@@ -196,6 +226,36 @@ mod tests {
         for _ in 0..10_000 {
             a.alloc_4k();
         }
+    }
+
+    #[test]
+    fn run_allocation_equals_per_page_allocation() {
+        for max_skip in [0, 3, 8] {
+            for logging in [false, true] {
+                for len in [0, 1, 7, 511] {
+                    let mut run = FrameAllocator::new(64 << 20, 8);
+                    run.max_skip = max_skip;
+                    run.set_logging(logging);
+                    run.alloc_4k(); // start mid-sequence
+                    let mut per_page = run.clone();
+                    let mut frames = vec![0; len];
+                    run.alloc_4k_into(&mut frames);
+                    let expected: Vec<u64> = (0..len).map(|_| per_page.alloc_4k()).collect();
+                    let case = format!("max_skip {max_skip}, logging {logging}, len {len}");
+                    assert_eq!(frames, expected, "{case}");
+                    assert_eq!(run.frames_used(), per_page.frames_used(), "{case}");
+                    assert_eq!(run.rng_state(), per_page.rng_state(), "{case}");
+                    assert_eq!(run.drain_log(), per_page.drain_log(), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of simulated physical memory")]
+    fn run_allocation_exhaustion_panics() {
+        let mut a = FrameAllocator::new(2 << 20, 5);
+        a.alloc_4k_into(&mut [0; 600]);
     }
 
     #[test]

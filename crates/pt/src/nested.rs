@@ -13,7 +13,7 @@
 
 use crate::frame_alloc::FrameAllocator;
 use crate::process::{AddressSpace, MappedRegion};
-use crate::radix::RadixPageTable;
+use crate::radix::{Extent, RadixPageTable, TABLE_ENTRIES};
 use vm_types::{Asid, PageSize, PhysAddr, SplitMix64, VirtAddr};
 
 /// A shadow page table: guest-virtual → host-physical.
@@ -109,13 +109,18 @@ impl NestedMemory {
     /// Like a hypervisor using THP for VM backing, the host populates the
     /// guest-physical space in whole 2MB-aligned *chunks* on first touch:
     /// with probability `host_huge_fraction` a chunk gets one host 2MB
-    /// page, otherwise 512 scattered host 4KB frames.
+    /// page, otherwise 512 scattered host 4KB frames. Consecutive log
+    /// entries mostly fall in one chunk, which is only looked up once.
     fn host_map_pending(&mut self) {
         let log = self.guest_alloc.drain_log();
+        let mut handled = None;
         for (frame, count) in log {
             let first_chunk = frame >> 9;
             let last_chunk = (frame + count as u64 - 1) >> 9;
             for chunk in first_chunk..=last_chunk {
+                if handled.replace(chunk) == Some(chunk) {
+                    continue; // backed by the previous entry
+                }
                 let gpa_base = gpa_as_va(chunk << 9);
                 if self.host_pt.translate(gpa_base).is_some() {
                     continue; // chunk already backed
@@ -124,7 +129,12 @@ impl NestedMemory {
                     let hframe = self.host_alloc.alloc_2m();
                     self.host_pt.map(gpa_base, hframe, PageSize::Size2M, &mut self.host_alloc);
                 } else {
-                    self.host_pt.map_4k_run(gpa_base, 512, &mut self.host_alloc, FrameAllocator::alloc_4k);
+                    self.host_pt.map_4k_run(
+                        gpa_base,
+                        512,
+                        &mut self.host_alloc,
+                        FrameAllocator::alloc_4k_into,
+                    );
                 }
             }
         }
@@ -133,31 +143,37 @@ impl NestedMemory {
     /// Builds shadow (gVA → hPA) entries for a freshly mapped region,
     /// one 2MB chunk at a time (regions are 2MB-aligned multiples of 2MB).
     /// Shadow granularity is 2MB only when both the guest page and the
-    /// backing host extent are 2MB (page splintering otherwise).
+    /// backing host extent are 2MB (page splintering otherwise). A 4KB
+    /// chunk's 512 host frames are composed from one read of the guest
+    /// extent and one host lookup per guest-physical 2MB chunk it touches.
     fn shadow_map_region(&mut self, region: &MappedRegion) {
-        let (guest, host) = (&self.guest.page_table, &self.host_pt);
+        let mut frames = [0u64; TABLE_ENTRIES];
         for off in (0..region.bytes).step_by(2 << 20) {
             let gva = region.at(off);
-            let (gpa, gsize) = guest.translate(gva).expect("region must be guest-mapped");
-            let (hpa, hsize) = self.host_translate(gpa).expect("gpa must be host-mapped");
-            if gsize == PageSize::Size2M
-                && hsize == PageSize::Size2M
-                && hpa.page_offset(PageSize::Size2M) == 0
-            {
-                self.shadow.table.map(
-                    gva,
-                    hpa.frame(PageSize::Size4K),
-                    PageSize::Size2M,
-                    &mut self.host_alloc,
-                );
-            } else {
-                let mut page = gva;
-                self.shadow.table.map_4k_run(gva, 512, &mut self.host_alloc, |_| {
-                    let hpa = compose(guest, host, page).expect("gva must translate end to end");
-                    page = page.add(4096);
-                    hpa.frame(PageSize::Size4K)
-                });
+            let guest = self.guest.page_table.extent(gva).expect("region must be guest-mapped");
+            if let Extent::Huge(gbase) = guest {
+                let host = self.host_pt.extent(gpa_as_va(gbase)).expect("gpa must be host-mapped");
+                if let (Extent::Huge(hbase), 0) = (host, gbase % 512) {
+                    self.shadow.table.map(gva, hbase, PageSize::Size2M, &mut self.host_alloc);
+                    continue;
+                }
             }
+            // (guest-physical chunk, its host extent); no chunk is u64::MAX.
+            let mut host = (u64::MAX, Extent::Huge(0));
+            for (i, slot) in frames.iter_mut().enumerate() {
+                let gframe = guest.frame(i).expect("region must be guest-mapped");
+                let chunk = gframe >> 9;
+                if chunk != host.0 {
+                    let extent = self.host_pt.extent(gpa_as_va(chunk << 9)).expect("gpa must be host-mapped");
+                    host = (chunk, extent);
+                }
+                *slot = host.1.frame((gframe % 512) as usize).expect("gpa must be host-mapped");
+            }
+            let mut next = 0;
+            self.shadow.table.map_4k_run(gva, TABLE_ENTRIES, &mut self.host_alloc, |_, out| {
+                out.copy_from_slice(&frames[next..next + out.len()]);
+                next += out.len();
+            });
         }
     }
 
@@ -219,13 +235,22 @@ mod tests {
 
     #[test]
     fn shadow_agrees_with_two_level_translation() {
-        let mut n = nested();
-        let r = n.map_region(8 << 20, 0.5);
-        for off in (0..r.bytes).step_by(4096) {
-            let gva = r.at(off);
-            let direct = n.full_translate(gva).unwrap();
-            let (shadowed, _) = n.shadow.table.translate(gva).expect("shadow hole");
-            assert_eq!(direct, shadowed, "shadow mismatch at offset {off}");
+        // Every guest/host page-size pairing: 4KB over 4KB, 4KB over
+        // 2MB, 2MB over 4KB and 2MB over 2MB chunks.
+        for host_huge in [0.0, 0.3, 1.0] {
+            for guest_huge in [0.0, 0.5, 1.0] {
+                let mut n = NestedMemory::new(Asid::new(2), 1 << 30, 4 << 30, host_huge, 99);
+                let r = n.map_region(8 << 20, guest_huge);
+                for off in (0..r.bytes).step_by(4096) {
+                    let gva = r.at(off);
+                    let direct = n.full_translate(gva).unwrap();
+                    let (shadowed, _) = n.shadow.table.translate(gva).expect("shadow hole");
+                    assert_eq!(
+                        direct, shadowed,
+                        "host {host_huge}, guest {guest_huge}: shadow mismatch at offset {off}"
+                    );
+                }
+            }
         }
     }
 

@@ -107,7 +107,7 @@ impl AddressSpace {
                 let frame = alloc.alloc_2m();
                 self.page_table.map(va, frame, PageSize::Size2M, alloc);
             } else {
-                self.page_table.map_4k_run(va, PAGES_PER_CHUNK, alloc, FrameAllocator::alloc_4k);
+                self.page_table.map_4k_run(va, PAGES_PER_CHUNK, alloc, FrameAllocator::alloc_4k_into);
             }
             va = va.add(CHUNK);
         }

@@ -75,6 +75,29 @@ impl Walk {
     }
 }
 
+/// How one 2MB-aligned extent is mapped ([`RadixPageTable::extent`]).
+pub(crate) enum Extent<'a> {
+    /// One 2MB page starting at this 4KB frame.
+    Huge(u64),
+    /// A leaf table of 4KB entries.
+    Table(&'a [u64; TABLE_ENTRIES]),
+}
+
+impl Extent<'_> {
+    /// The 4KB frame that page `index` (0..512) of the extent maps to,
+    /// or `None` if that page is unmapped.
+    #[inline]
+    pub(crate) fn frame(&self, index: usize) -> Option<u64> {
+        match *self {
+            Extent::Huge(base) => Some(base + index as u64),
+            Extent::Table(entries) => {
+                let entry = entries[index];
+                is_present(entry).then(|| decode_leaf(entry).frame())
+            }
+        }
+    }
+}
+
 /// A per-address-space four-level radix page table.
 pub struct RadixPageTable {
     tables: Vec<Table>,
@@ -156,10 +179,13 @@ impl RadixPageTable {
     }
 
     /// Maps `count` consecutive 4KB pages from `va`, a run inside one leaf
-    /// table, drawing each page's frame from `next_frame` in page order.
-    /// The first page goes through [`RadixPageTable::map`], so its frame is
-    /// drawn before any intermediate table it needs, exactly as a per-page
-    /// loop would draw them; the rest are written straight into the leaf
+    /// table, with frames from `fill`, which fills a slice with the next
+    /// frames in page order (e.g. [`FrameAllocator::alloc_4k_into`]). The
+    /// first page's frame is drawn alone and mapped through
+    /// [`RadixPageTable::map`], so it is drawn before any intermediate
+    /// table the run needs, exactly as a per-page loop would draw them;
+    /// the other `count - 1` frames are drawn in one call once their
+    /// slots are known to be free, and written straight into the leaf
     /// table.
     ///
     /// # Panics
@@ -171,20 +197,43 @@ impl RadixPageTable {
         va: VirtAddr,
         count: usize,
         alloc: &mut FrameAllocator,
-        mut next_frame: impl FnMut(&mut FrameAllocator) -> u64,
+        mut fill: impl FnMut(&mut FrameAllocator, &mut [u64]),
     ) {
         let first = va.radix_index(0);
         assert!(
             count > 0 && first + count <= TABLE_ENTRIES,
             "a run of {count} 4KB pages at {va} does not fit one leaf table"
         );
-        let frame = next_frame(alloc);
-        let table = self.map_in_table(va, frame, PageSize::Size4K, alloc);
-        for (i, slot) in self.tables[table].entries[first + 1..first + count].iter_mut().enumerate() {
-            assert!(!is_present(*slot), "double mapping at {}", va.add((i as u64 + 1) * 4096));
-            *slot = encode_leaf(Pte::leaf(next_frame(alloc), PageSize::Size4K));
+        let mut frames = [0u64; TABLE_ENTRIES];
+        fill(alloc, &mut frames[..1]);
+        let table = self.map_in_table(va, frames[0], PageSize::Size4K, alloc);
+        let slots = &mut self.tables[table].entries[first + 1..first + count];
+        if let Some(i) = slots.iter().position(|&slot| is_present(slot)) {
+            panic!("double mapping at {}", va.add((i as u64 + 1) * 4096));
+        }
+        let rest = &mut frames[1..count];
+        fill(alloc, rest);
+        for (slot, &frame) in slots.iter_mut().zip(rest.iter()) {
+            *slot = encode_leaf(Pte::leaf(frame, PageSize::Size4K));
         }
         self.mapped_pages += count as u64 - 1;
+    }
+
+    /// How the 2MB extent holding `va` is mapped, or `None` if it is not:
+    /// lets a caller read a whole leaf table's frames with one walk.
+    pub(crate) fn extent(&self, va: VirtAddr) -> Option<Extent<'_>> {
+        let mut table = self.root;
+        for level in (1..LEVELS).rev() {
+            let entry = self.tables[table].entries[va.radix_index(level)];
+            if !is_present(entry) {
+                return None;
+            }
+            if is_leaf(entry) {
+                return (level == 1).then(|| Extent::Huge(decode_leaf(entry).frame()));
+            }
+            table = child_of(entry);
+        }
+        Some(Extent::Table(&self.tables[table].entries))
     }
 
     /// [`RadixPageTable::map`], returning the index of the table that holds
@@ -568,7 +617,7 @@ mod tests {
                     pt.map(pva, frame, size, alloc);
                 }
             }
-            run.map_4k_run(va, count, &mut alloc_run, FrameAllocator::alloc_4k);
+            run.map_4k_run(va, count, &mut alloc_run, FrameAllocator::alloc_4k_into);
             for i in 0..count as u64 {
                 let frame = alloc_loop.alloc_4k();
                 per_page.map(va.add(i * 4096), frame, PageSize::Size4K, &mut alloc_loop);
@@ -595,7 +644,7 @@ mod tests {
     #[should_panic(expected = "does not fit one leaf table")]
     fn map_4k_run_across_a_leaf_table_boundary_panics() {
         let (mut alloc, mut pt) = setup();
-        pt.map_4k_run(VirtAddr::new(0x4000_0000 + 500 * 4096), 13, &mut alloc, FrameAllocator::alloc_4k);
+        pt.map_4k_run(VirtAddr::new(0x4000_0000 + 500 * 4096), 13, &mut alloc, FrameAllocator::alloc_4k_into);
     }
 
     #[test]
@@ -604,7 +653,7 @@ mod tests {
         let (mut alloc, mut pt) = setup();
         let f = alloc.alloc_4k();
         pt.map(VirtAddr::new(0x4000_0000 + 7 * 4096), f, PageSize::Size4K, &mut alloc);
-        pt.map_4k_run(VirtAddr::new(0x4000_0000), 16, &mut alloc, FrameAllocator::alloc_4k);
+        pt.map_4k_run(VirtAddr::new(0x4000_0000), 16, &mut alloc, FrameAllocator::alloc_4k_into);
     }
 
     #[test]

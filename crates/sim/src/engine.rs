@@ -33,7 +33,7 @@ use crate::obs::ObsMode;
 use crate::sampling::{run_sampled, SamplingConfig};
 use crate::stats::SimStats;
 use crate::system::System;
-use obs::{MetricValue, SpanEvent};
+use obs::{MetricValue, SpanEvent, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -296,7 +296,8 @@ impl SimEngine {
     /// mode. Enablement is post-construction system state (like the
     /// record hook), so the spec fingerprint and the statistics are
     /// untouched in every mode; metrics and spans come back on the
-    /// result as side channels.
+    /// result as side channels. With tracing on, the first span is
+    /// `setup`: the workload build plus `System::new`.
     pub fn run_one_observed(
         index: usize,
         spec: &RunSpec,
@@ -304,20 +305,24 @@ impl SimEngine {
         obs: ObsMode,
     ) -> RunResult {
         let start = Instant::now();
+        // A fresh tracer's clock reads 0, so a tracer made before set-up
+        // times the workload build and `System::new` as span [0, now).
+        let tracer = obs.tracing_enabled().then(Tracer::new);
         let mut cfg = spec.config.clone();
         cfg.seed = spec.seed;
         let workload = registry::by_name_seeded(&spec.workload, spec.scale, spec.seed)
             .unwrap_or_else(|| panic!("unknown workload {}", spec.workload));
         let mut sys = System::new(cfg, workload);
+        if let Some(mut tracer) = tracer {
+            tracer.record("setup", 0, &[]);
+            sys.tracer = Some(tracer);
+        }
         sys.hier.set_prefetch_scratch(std::mem::take(&mut scratch.prefetch));
         if spec.collect_features {
             sys.enable_feature_tracking();
         }
         if obs.metrics_enabled() {
             sys.enable_metrics();
-        }
-        if obs.tracing_enabled() {
-            sys.enable_tracing();
         }
         match &spec.sampling {
             Some(sampling) => run_sampled(&mut sys, spec.warmup, spec.instructions, sampling),
