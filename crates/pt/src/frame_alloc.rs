@@ -79,14 +79,23 @@ impl FrameAllocator {
         self.logging = on;
     }
 
-    /// Drains the (frame, count) allocation log.
+    /// Drains the (frame, count) allocation log. The log is kept in
+    /// runs: frames that continue the last entry extend it, so a dense
+    /// allocator (`max_skip` 0) logs one entry per contiguous stretch.
     pub fn drain_log(&mut self) -> Vec<(u64, u32)> {
         std::mem::take(&mut self.log)
     }
 
+    #[inline]
     fn record(&mut self, frame: u64, count: u32) {
-        if self.logging {
-            self.log.push((frame, count));
+        if !self.logging {
+            return;
+        }
+        match self.log.last_mut() {
+            Some((first, len)) if *first + *len as u64 == frame && len.checked_add(count).is_some() => {
+                *len += count;
+            }
+            _ => self.log.push((frame, count)),
         }
     }
 
@@ -129,9 +138,8 @@ impl FrameAllocator {
             assert!(last < self.capacity_frames, "out of simulated physical memory");
         }
         if self.logging {
-            // One push per frame grows the log exactly as `alloc_4k` does.
             for &frame in out.iter() {
-                self.log.push((frame, 1));
+                self.record(frame, 1);
             }
         }
     }
@@ -267,5 +275,35 @@ mod tests {
         let log = a.drain_log();
         assert_eq!(log, vec![(f, 1), (g, 512)]);
         assert!(a.drain_log().is_empty());
+    }
+
+    #[test]
+    fn log_coalesces_contiguous_allocations() {
+        let mut a = FrameAllocator::new(64 << 20, 9);
+        a.max_skip = 0;
+        a.set_logging(true);
+        let mut run = [0; 511];
+        a.alloc_4k_into(&mut run);
+        let first = run[0];
+        assert_eq!(a.log, vec![(first, 511)], "a dense run is one entry");
+        assert_eq!(a.alloc_4k(), first + 511);
+        assert_eq!(a.log, vec![(first, 512)], "an adjacent frame extends it");
+        // With skips on, the first skipped frame starts a new entry.
+        a.max_skip = 3;
+        let mut len = 512;
+        let skipped = loop {
+            let frame = a.alloc_4k();
+            if frame != first + len as u64 {
+                break frame;
+            }
+            len += 1;
+        };
+        let huge = a.alloc_2m();
+        assert_ne!(huge, skipped + 1, "the 2MB region is not adjacent");
+        assert_eq!(a.drain_log(), vec![(first, len), (skipped, 1), (huge, 512)]);
+        assert!(a.drain_log().is_empty());
+        // A drained entry is never extended.
+        assert_eq!(a.alloc_2m(), huge + 512);
+        assert_eq!(a.drain_log(), vec![(huge + 512, 512)]);
     }
 }

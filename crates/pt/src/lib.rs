@@ -33,7 +33,7 @@ pub mod pte;
 pub mod radix;
 
 pub use frame_alloc::FrameAllocator;
-pub use nested::{NestedMemory, ShadowPageTable};
+pub use nested::NestedMemory;
 pub use process::{AddressSpace, MappedRegion};
 pub use pte::Pte;
 pub use radix::{RadixPageTable, Walk, WalkStep, PTE_BYTES, TABLE_ENTRIES};

@@ -10,26 +10,22 @@
 //!   tables in host-physical space;
 //! - the **shadow page table** maps guest-virtual → host-physical directly
 //!   (kept in sync at map time; I-SP assumes updates are free).
+//!
+//! Only I-SP walks the shadow, so only an image built for it fills one.
+//! Every other image still draws each frame the shadow would take from
+//! the host allocator, so host-physical frame numbers do not depend on the
+//! execution mode, but builds only the shadow's directories.
+//!
+//! The guest allocator logs its frames in runs, and the host backs each
+//! guest-physical 2MB chunk a run touches with one lookup.
 
 use crate::frame_alloc::FrameAllocator;
 use crate::process::{AddressSpace, MappedRegion};
 use crate::radix::{Extent, RadixPageTable, TABLE_ENTRIES};
 use vm_types::{Asid, PageSize, PhysAddr, SplitMix64, VirtAddr};
 
-/// A shadow page table: guest-virtual → host-physical.
-pub struct ShadowPageTable {
-    /// The underlying radix table (tables live in host-physical space).
-    pub table: RadixPageTable,
-}
-
-impl std::fmt::Debug for ShadowPageTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShadowPageTable").field("table", &self.table).finish()
-    }
-}
-
 /// The memory image of one guest VM running a single data-intensive
-/// process, with all three page tables kept consistent.
+/// process, with its page tables kept consistent.
 pub struct NestedMemory {
     /// Guest-physical frame allocator.
     pub guest_alloc: FrameAllocator,
@@ -40,8 +36,10 @@ pub struct NestedMemory {
     /// Host page table (gPA → hPA). Guest-physical addresses are fed in as
     /// the "virtual" input of this radix table.
     pub host_pt: RadixPageTable,
-    /// Shadow table (gVA → hPA) for the I-SP baseline.
-    pub shadow: ShadowPageTable,
+    /// Shadow table (gVA → hPA) for the I-SP baseline; only its
+    /// directories unless `shadow_leaves` ([`NestedMemory::shadow`]).
+    shadow: RadixPageTable,
+    shadow_leaves: bool,
     host_huge_fraction: f64,
     rng: SplitMix64,
 }
@@ -57,13 +55,16 @@ impl NestedMemory {
     /// backed by `host_phys_bytes` of host-physical memory.
     ///
     /// `host_huge_fraction` is the probability that the host backs a 2MB
-    /// guest-physical extent with a host huge page.
+    /// guest-physical extent with a host huge page. `shadow_leaves` fills
+    /// the shadow table (I-SP); without it the shadow takes the same host
+    /// frames but gets no leaf tables.
     pub fn new(
         asid: Asid,
         guest_phys_bytes: u64,
         host_phys_bytes: u64,
         host_huge_fraction: f64,
         seed: u64,
+        shadow_leaves: bool,
     ) -> Self {
         let mut guest_alloc = FrameAllocator::new(guest_phys_bytes, seed ^ 0x6e57);
         // A freshly booted guest sees an unfragmented "physical" space:
@@ -74,19 +75,31 @@ impl NestedMemory {
         let mut host_alloc = FrameAllocator::new(host_phys_bytes, seed ^ 0x4057);
         let guest = AddressSpace::new(asid, &mut guest_alloc, seed);
         let host_pt = RadixPageTable::new(&mut host_alloc);
-        let shadow = ShadowPageTable { table: RadixPageTable::new(&mut host_alloc) };
+        let shadow = RadixPageTable::new(&mut host_alloc);
         let mut this = Self {
             guest_alloc,
             host_alloc,
             guest,
             host_pt,
             shadow,
+            shadow_leaves,
             host_huge_fraction,
             rng: SplitMix64::new(seed ^ shadow_seed()),
         };
         // Host-map the guest root table frame allocated in `AddressSpace::new`.
         this.host_map_pending();
         this
+    }
+
+    /// The shadow table (gVA → hPA), or `None` if this image was built
+    /// without one.
+    pub fn shadow(&self) -> Option<&RadixPageTable> {
+        self.shadow_leaves.then_some(&self.shadow)
+    }
+
+    /// [`NestedMemory::shadow`], mutably (walks update the leaf counters).
+    pub fn shadow_mut(&mut self) -> Option<&mut RadixPageTable> {
+        self.shadow_leaves.then_some(&mut self.shadow)
     }
 
     /// Maps a region in the guest and backs every newly allocated
@@ -109,8 +122,9 @@ impl NestedMemory {
     /// Like a hypervisor using THP for VM backing, the host populates the
     /// guest-physical space in whole 2MB-aligned *chunks* on first touch:
     /// with probability `host_huge_fraction` a chunk gets one host 2MB
-    /// page, otherwise 512 scattered host 4KB frames. Consecutive log
-    /// entries mostly fall in one chunk, which is only looked up once.
+    /// page, otherwise 512 scattered host 4KB frames. Each chunk a logged
+    /// run touches is looked up once; a run starting in the chunk the
+    /// previous one ended in skips it.
     fn host_map_pending(&mut self) {
         let log = self.guest_alloc.drain_log();
         let mut handled = None;
@@ -146,17 +160,32 @@ impl NestedMemory {
     /// backing host extent are 2MB (page splintering otherwise). A 4KB
     /// chunk's 512 host frames are composed from one read of the guest
     /// extent and one host lookup per guest-physical 2MB chunk it touches.
+    /// Without shadow leaves, a chunk only draws the frames of its
+    /// directories and, when 4KB-shadowed, of its leaf table.
     fn shadow_map_region(&mut self, region: &MappedRegion) {
         let mut frames = [0u64; TABLE_ENTRIES];
         for off in (0..region.bytes).step_by(2 << 20) {
             let gva = region.at(off);
             let guest = self.guest.page_table.extent(gva).expect("region must be guest-mapped");
-            if let Extent::Huge(gbase) = guest {
-                let host = self.host_pt.extent(gpa_as_va(gbase)).expect("gpa must be host-mapped");
-                if let (Extent::Huge(hbase), 0) = (host, gbase % 512) {
-                    self.shadow.table.map(gva, hbase, PageSize::Size2M, &mut self.host_alloc);
-                    continue;
+            let huge = match guest {
+                Extent::Huge(gbase) if gbase % 512 == 0 => {
+                    match self.host_pt.extent(gpa_as_va(gbase)).expect("gpa must be host-mapped") {
+                        Extent::Huge(hbase) => Some(hbase),
+                        Extent::Table(_) => None,
+                    }
                 }
+                _ => None,
+            };
+            if !self.shadow_leaves {
+                self.shadow.directory(gva, PageSize::Size2M.leaf_level(), &mut self.host_alloc);
+                if huge.is_none() {
+                    self.host_alloc.alloc_4k(); // the leaf table's frame
+                }
+                continue;
+            }
+            if let Some(hbase) = huge {
+                self.shadow.map(gva, hbase, PageSize::Size2M, &mut self.host_alloc);
+                continue;
             }
             // (guest-physical chunk, its host extent); no chunk is u64::MAX.
             let mut host = (u64::MAX, Extent::Huge(0));
@@ -170,7 +199,7 @@ impl NestedMemory {
                 *slot = host.1.frame((gframe % 512) as usize).expect("gpa must be host-mapped");
             }
             let mut next = 0;
-            self.shadow.table.map_4k_run(gva, TABLE_ENTRIES, &mut self.host_alloc, |_, out| {
+            self.shadow.map_4k_run(gva, TABLE_ENTRIES, &mut self.host_alloc, |_, out| {
                 out.copy_from_slice(&frames[next..next + out.len()]);
                 next += out.len();
             });
@@ -220,7 +249,7 @@ mod tests {
     use super::*;
 
     fn nested() -> NestedMemory {
-        NestedMemory::new(Asid::new(2), 1 << 30, 4 << 30, 0.3, 99)
+        NestedMemory::new(Asid::new(2), 1 << 30, 4 << 30, 0.3, 99, true)
     }
 
     #[test]
@@ -239,12 +268,12 @@ mod tests {
         // 2MB, 2MB over 4KB and 2MB over 2MB chunks.
         for host_huge in [0.0, 0.3, 1.0] {
             for guest_huge in [0.0, 0.5, 1.0] {
-                let mut n = NestedMemory::new(Asid::new(2), 1 << 30, 4 << 30, host_huge, 99);
+                let mut n = NestedMemory::new(Asid::new(2), 1 << 30, 4 << 30, host_huge, 99, true);
                 let r = n.map_region(8 << 20, guest_huge);
                 for off in (0..r.bytes).step_by(4096) {
                     let gva = r.at(off);
                     let direct = n.full_translate(gva).unwrap();
-                    let (shadowed, _) = n.shadow.table.translate(gva).expect("shadow hole");
+                    let (shadowed, _) = n.shadow().unwrap().translate(gva).expect("shadow hole");
                     assert_eq!(
                         direct, shadowed,
                         "host {host_huge}, guest {guest_huge}: shadow mismatch at offset {off}"
@@ -274,14 +303,35 @@ mod tests {
 
     #[test]
     fn host_huge_pages_appear_when_requested() {
-        let mut n = NestedMemory::new(Asid::new(3), 1 << 30, 4 << 30, 1.0, 7);
+        let mut n = NestedMemory::new(Asid::new(3), 1 << 30, 4 << 30, 1.0, 7, true);
         let r = n.map_region(8 << 20, 1.0);
         let (gpa, gsize) = n.guest.page_table.translate(r.base).unwrap();
         assert_eq!(gsize, PageSize::Size2M);
         let (_, hsize) = n.host_translate(gpa).unwrap();
         assert_eq!(hsize, PageSize::Size2M);
         // Shadow should then also be 2MB.
-        let (_, ssize) = n.shadow.table.translate(r.base).unwrap();
+        let (_, ssize) = n.shadow().unwrap().translate(r.base).unwrap();
         assert_eq!(ssize, PageSize::Size2M);
+    }
+
+    #[test]
+    fn a_run_straddling_a_chunk_boundary_backs_both_chunks_once() {
+        let mut n = NestedMemory::new(Asid::new(4), 1 << 30, 4 << 30, 0.0, 5, false);
+        // Move the guest cursor near the end of chunk 1 without logging.
+        n.guest_alloc.set_logging(false);
+        let mut skip = vec![0; 1000 - n.guest_alloc.frames_used() as usize];
+        n.guest_alloc.alloc_4k_into(&mut skip);
+        n.guest_alloc.set_logging(true);
+        let mut run = [0; 48];
+        n.guest_alloc.alloc_4k_into(&mut run);
+        assert_eq!((run[0], run[47]), (1000, 1047), "the run straddles chunks 1 and 2");
+        let before = n.host_pt.mapped_pages();
+        n.host_map_pending();
+        // 512 host 4KB pages per chunk: each was backed exactly once.
+        assert_eq!(n.host_pt.mapped_pages() - before, 2 * 512);
+        for frame in 512..3 * 512 {
+            assert!(n.host_pt.translate(gpa_as_va(frame)).is_some(), "guest frame {frame} unbacked");
+        }
+        assert!(n.host_pt.translate(gpa_as_va(3 * 512)).is_none(), "chunk 3 was never touched");
     }
 }

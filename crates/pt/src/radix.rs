@@ -236,6 +236,31 @@ impl RadixPageTable {
         Some(Extent::Table(&self.tables[table].entries))
     }
 
+    /// The index of the table at `level` on `va`'s path. Each missing
+    /// table above it is created on the way down, root side first, with a
+    /// frame from `alloc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the path runs through a leaf above `level`.
+    pub(crate) fn directory(&mut self, va: VirtAddr, level: u8, alloc: &mut FrameAllocator) -> usize {
+        let mut table = self.root;
+        for parent in (level + 1..LEVELS).rev() {
+            let idx = va.radix_index(parent);
+            let entry = self.tables[table].entries[idx];
+            table = if is_present(entry) {
+                assert!(!is_leaf(entry), "cannot map through an existing leaf at level {parent}");
+                child_of(entry)
+            } else {
+                let child = self.tables.len();
+                self.tables.push(Table::new(alloc.alloc_4k()));
+                self.tables[table].entries[idx] = nonleaf(child);
+                child
+            };
+        }
+        table
+    }
+
     /// [`RadixPageTable::map`], returning the index of the table that holds
     /// the new leaf entry.
     fn map_in_table(
@@ -246,24 +271,7 @@ impl RadixPageTable {
         alloc: &mut FrameAllocator,
     ) -> usize {
         let leaf_level = size.leaf_level();
-        let mut table = self.root;
-        let mut level = LEVELS - 1;
-        while level > leaf_level {
-            let idx = va.radix_index(level);
-            let entry = self.tables[table].entries[idx];
-            let child = if is_present(entry) {
-                assert!(!is_leaf(entry), "cannot map through an existing leaf at level {level}");
-                child_of(entry)
-            } else {
-                let frame = alloc.alloc_4k();
-                let child = self.tables.len();
-                self.tables.push(Table::new(frame));
-                self.tables[table].entries[idx] = nonleaf(child);
-                child
-            };
-            table = child;
-            level -= 1;
-        }
+        let table = self.directory(va, leaf_level, alloc);
         let idx = va.radix_index(leaf_level);
         let slot = &mut self.tables[table].entries[idx];
         assert!(!is_present(*slot), "double mapping at {va}");

@@ -111,7 +111,9 @@ impl Memory {
         match (self, mode, kind) {
             (Memory::Native { aspace, .. }, ..) => Some(&mut aspace.page_table),
             (Memory::Virt { nested }, _, BlockKind::NestedTlb) => Some(&mut nested.host_pt),
-            (Memory::Virt { nested }, ExecMode::VirtualizedShadow, _) => Some(&mut nested.shadow.table),
+            (Memory::Virt { nested }, ExecMode::VirtualizedShadow, _) => {
+                Some(nested.shadow_mut().expect("I-SP images fill the shadow table"))
+            }
             (Memory::Virt { .. }, ..) => None,
         }
     }
@@ -265,6 +267,8 @@ pub struct System {
     /// This is the stream position a checkpoint records so a resumed
     /// run can drain the generator back to the same point.
     refs_consumed: u64,
+    /// Set by [`System::allow_stale_translations`].
+    stale_ok: bool,
 }
 
 impl std::fmt::Debug for System {
@@ -313,7 +317,10 @@ impl System {
                 // Hosts back VM memory with THP (EPT huge pages):
                 // 70% of the 2MB chunks of guest-physical space get a
                 // host 2MB page (calibrated; see EXPERIMENTS.md).
-                let mut nested = NestedMemory::new(asid, guest_phys, cfg.phys_mem_bytes, 0.7, cfg.seed);
+                // Only I-SP walks the shadow table, so only it fills one.
+                let shadow = cfg.mode == ExecMode::VirtualizedShadow;
+                let mut nested =
+                    NestedMemory::new(asid, guest_phys, cfg.phys_mem_bytes, 0.7, cfg.seed, shadow);
                 let code = nested.map_small_region(256 << 10);
                 let bases: Vec<VirtAddr> =
                     specs.iter().map(|s| nested.map_region(s.bytes, s.huge_fraction).base).collect();
@@ -408,6 +415,7 @@ impl System {
             metrics: None,
             tracer: None,
             refs_consumed: 0,
+            stale_ok: false,
             hier,
             cfg,
         }
@@ -747,6 +755,7 @@ impl System {
             }
         };
         let pa = PhysAddr::from_frame(frame, PageSize::Size4K, va.page_offset(PageSize::Size4K));
+        self.check_translation(va, pa, PageSize::Size4K);
         let ctx = self.epoch.ctx();
         self.hier.access(pa, false, MemClass::IFetch, &ctx);
         lat
@@ -759,11 +768,11 @@ impl System {
         // hidden in the pipeline).
         if let Some(e) = self.dtlb4k.probe(va.vpn(PageSize::Size4K), self.proc.asid, PageSize::Size4K) {
             self.stats.l1_tlb_hits += 1;
-            return (frame_pa(e.frame, e.size, va), 0);
+            return (self.translated(va, &e), 0);
         }
         if let Some(e) = self.dtlb2m.probe(va.vpn(PageSize::Size2M), self.proc.asid, PageSize::Size2M) {
             self.stats.l1_tlb_hits += 1;
-            return (frame_pa(e.frame, e.size, va), 0);
+            return (self.translated(va, &e), 0);
         }
         self.stats.l1_tlb_misses += 1;
 
@@ -774,7 +783,7 @@ impl System {
                 self.stats.l2_tlb_hits += 1;
                 self.fill_l1(e);
                 self.track_l1_miss(va, size);
-                return (frame_pa(e.frame, e.size, va), latency);
+                return (self.translated(va, &e), latency);
             }
         }
         self.stats.l2_tlb_misses += 1;
@@ -793,7 +802,43 @@ impl System {
         self.fill_l1(res.entry);
         self.track_l1_miss(va, res.entry.size);
         self.track_l2_miss(va, res.entry.size);
-        (frame_pa(res.entry.frame, res.entry.size, va), latency)
+        (self.translated(va, &res.entry), latency)
+    }
+
+    /// The physical address `e` translates `va` to, checked by the
+    /// debug-build oracle.
+    #[inline]
+    fn translated(&self, va: VirtAddr, e: &TlbEntry) -> PhysAddr {
+        let pa = frame_pa(e.frame, e.size, va);
+        self.check_translation(va, pa, e.size);
+        pa
+    }
+
+    /// The debug-build translation oracle: `pa`, which the pipeline
+    /// produced for `va` through a `size` entry, must be the page
+    /// tables' physical address, and natively `size` their page size
+    /// too (a virtualised entry may be splintered below its guest page).
+    /// Compiled out of release builds.
+    #[inline]
+    fn check_translation(&self, va: VirtAddr, pa: PhysAddr, size: PageSize) {
+        if !cfg!(debug_assertions) || self.stale_ok {
+            return;
+        }
+        assert_eq!(
+            Some(pa),
+            self.ground_truth(va),
+            "translation oracle: {va} disagrees with the page tables"
+        );
+        if let Memory::Native { .. } = self.proc.memory {
+            assert_eq!(Some(size), self.page_size_at(va), "translation oracle: page size of {va}");
+        }
+    }
+
+    /// Lets translations disagree with the page tables, switching the
+    /// debug-build oracle off: for tests that leave a stale TLB entry on
+    /// purpose, such as a page migration without a shootdown.
+    pub fn allow_stale_translations(&mut self) {
+        self.stale_ok = true;
     }
 
     /// Translates once (public hook for tests and examples): runs the full

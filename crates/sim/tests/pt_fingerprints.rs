@@ -13,9 +13,11 @@
 //!
 //! Nested cases hash the guest table over the guest regions, the host
 //! table over every guest-physical frame handed out, and the shadow
-//! table over the guest regions. A faster construction must leave every
-//! fingerprint unchanged; an intended layout change re-records them, and
-//! the `--check` baselines move with it.
+//! table over the guest regions. Images built without the shadow's
+//! leaves (every mode but I-SP) must match full ones on everything else.
+//! A faster construction must leave every fingerprint unchanged; an
+//! intended layout change re-records them, and the `--check` baselines
+//! move with it.
 
 use page_table::{AddressSpace, FrameAllocator, NestedMemory, RadixPageTable};
 use sim::SystemConfig;
@@ -88,27 +90,78 @@ fn native_fingerprint(name: &str, scale: Scale) -> u64 {
     h.0
 }
 
-fn nested_fingerprint(name: &str, scale: Scale) -> u64 {
+/// The image `System::new` builds for a virtualised run, with the
+/// shadow's leaves (I-SP) or without them (nested paging).
+fn nested_image(name: &str, scale: Scale, shadow_leaves: bool) -> NestedMemory {
     let cfg = SystemConfig::nested_paging();
     let specs = registry::by_name_seeded(name, scale, cfg.seed).expect("known workload").region_specs();
     let guest_phys = specs.iter().map(|s| s.bytes).sum::<u64>() * 2 + (1 << 30);
-    let mut n = NestedMemory::new(Asid::new(1), guest_phys, cfg.phys_mem_bytes, HOST_HUGE_FRACTION, cfg.seed);
+    let mut n = NestedMemory::new(
+        Asid::new(1),
+        guest_phys,
+        cfg.phys_mem_bytes,
+        HOST_HUGE_FRACTION,
+        cfg.seed,
+        shadow_leaves,
+    );
     n.map_small_region(256 << 10);
     for s in &specs {
         n.map_region(s.bytes, s.huge_fraction);
     }
+    n
+}
+
+fn nested_fingerprint(name: &str, scale: Scale) -> u64 {
+    let n = nested_image(name, scale, true);
+    let shadow = n.shadow().expect("built with the shadow's leaves");
     let mut h = Fnv(FNV_OFFSET);
     for r in n.guest.regions() {
         h.span(&n.guest.page_table, r.base, r.bytes);
-        h.span(&n.shadow.table, r.base, r.bytes);
+        h.span(shadow, r.base, r.bytes);
     }
     h.span(&n.host_pt, VirtAddr::new(0), n.guest_alloc.frames_used().next_multiple_of(512) * 4096);
-    for pt in [&n.guest.page_table, &n.host_pt, &n.shadow.table] {
+    for pt in [&n.guest.page_table, &n.host_pt, shadow] {
         h.shape(pt);
     }
     h.alloc(&n.guest_alloc);
     h.alloc(&n.host_alloc);
     h.0
+}
+
+/// Everything of a nested image but the shadow: the guest and host
+/// tables and both allocators.
+fn without_shadow_fingerprint(n: &NestedMemory) -> u64 {
+    let mut h = Fnv(FNV_OFFSET);
+    for r in n.guest.regions() {
+        h.span(&n.guest.page_table, r.base, r.bytes);
+    }
+    h.span(&n.host_pt, VirtAddr::new(0), n.guest_alloc.frames_used().next_multiple_of(512) * 4096);
+    for pt in [&n.guest.page_table, &n.host_pt] {
+        h.shape(pt);
+    }
+    h.alloc(&n.guest_alloc);
+    h.alloc(&n.host_alloc);
+    h.0
+}
+
+/// An image built without the shadow's leaves equals the full one on
+/// everything nested paging reads, and hides its partial shadow.
+fn assert_shadow_leaves_change_nothing_else(case: &str, build: impl Fn(bool) -> NestedMemory) {
+    let (full, frames_only) = (build(true), build(false));
+    assert!(frames_only.shadow().is_none(), "{case}: partial shadow reachable");
+    assert_eq!(
+        without_shadow_fingerprint(&full),
+        without_shadow_fingerprint(&frames_only),
+        "{case}: building the shadow's leaves moved the guest or host image"
+    );
+}
+
+fn assert_registry_images_without_shadow_leaves_match(scale: Scale) {
+    for name in ["RND", "XS", "BFS"] {
+        assert_shadow_leaves_change_nothing_else(&format!("{scale:?} {name}"), |shadow_leaves| {
+            nested_image(name, scale, shadow_leaves)
+        });
+    }
 }
 
 fn assert_fingerprints(mode: &str, scale: Scale, build: fn(&str, Scale) -> u64, expected: &[(&str, u64)]) {
@@ -166,6 +219,35 @@ fn tiny_nested_tables_match_recorded_fingerprints() {
 }
 
 #[test]
+fn images_without_shadow_leaves_match_full_ones_for_every_page_size_pairing() {
+    for host_huge in [0.0, 0.3, 1.0] {
+        for guest_huge in [0.0, 0.5, 1.0] {
+            assert_shadow_leaves_change_nothing_else(
+                &format!("host huge {host_huge}, guest huge {guest_huge}"),
+                |shadow_leaves| {
+                    let mut n =
+                        NestedMemory::new(Asid::new(2), 1 << 30, 4 << 30, host_huge, 99, shadow_leaves);
+                    n.map_small_region(256 << 10);
+                    n.map_region(8 << 20, guest_huge);
+                    n.map_region(6 << 20, guest_huge);
+                    n
+                },
+            );
+        }
+    }
+}
+
+#[test]
+fn tiny_images_without_shadow_leaves_match_full_ones() {
+    assert_registry_images_without_shadow_leaves_match(Scale::Tiny);
+}
+
+#[test]
+fn small_images_without_shadow_leaves_match_full_ones() {
+    assert_registry_images_without_shadow_leaves_match(Scale::Small);
+}
+
+#[test]
 fn small_native_tables_match_recorded_fingerprints() {
     assert_fingerprints(
         "native",
@@ -209,4 +291,10 @@ fn paper_nested_tables_match_recorded_fingerprints() {
         nested_fingerprint,
         &[("RND", 0x0061867099438f51), ("XS", 0xedb5d176d6d78678), ("BFS", 0x44647741ccc888ff)],
     );
+}
+
+#[test]
+#[ignore]
+fn paper_images_without_shadow_leaves_match_full_ones() {
+    assert_registry_images_without_shadow_leaves_match(Scale::Paper);
 }

@@ -47,11 +47,23 @@ fn tlb_shootdown_forces_rewalk_to_new_ground_truth() {
 #[test]
 fn migration_without_shootdown_leaves_stale_entries() {
     let (mut sys, va) = warm_system(&SystemConfig::radix());
+    sys.allow_stale_translations();
     let before = sys.translate_once(va);
     let after = sys.migrate_page(va);
     assert_ne!(after, before);
     assert_eq!(sys.translate_once(va), before, "stale entry must still hit");
     assert_ne!(sys.ground_truth(va), Some(before), "page table already moved on");
+}
+
+/// The same stale hit without the opt-out trips the debug-build
+/// translation oracle.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "translation oracle")]
+fn stale_translation_trips_the_oracle() {
+    let (mut sys, va) = warm_system(&SystemConfig::radix());
+    sys.migrate_page(va);
+    sys.translate_once(va);
 }
 
 /// A full context-switch flush drops every translation; the stream keeps
