@@ -27,50 +27,11 @@
 //! Simulations fan out over `--jobs`/`VICTIMA_JOBS` workers (default: all
 //! cores); artifacts are byte-identical at any worker count.
 
+use victima_bench::cli::{
+    fail, flag_value, out, parse_config, parse_format, parse_jobs, parse_sampling, parse_scale, parse_u64,
+    take_flag, Format,
+};
 use victima_bench::{experiments, ExpCtx, ExperimentReport};
-
-/// Output format selected with `--format`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Jsonl,
-    Csv,
-    Md,
-}
-
-impl Format {
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "text" => Format::Text,
-            "json" => Format::Json,
-            "jsonl" => Format::Jsonl,
-            "csv" => Format::Csv,
-            "md" => Format::Md,
-            _ => return None,
-        })
-    }
-
-    fn extension(self) -> &'static str {
-        match self {
-            Format::Text => "txt",
-            Format::Json => "json",
-            Format::Jsonl => "jsonl",
-            Format::Csv => "csv",
-            Format::Md => "md",
-        }
-    }
-
-    fn render(self, r: &ExperimentReport) -> String {
-        match self {
-            Format::Text => report::text::render(r),
-            Format::Json => report::json::to_json(r),
-            Format::Jsonl => report::jsonl::render(r),
-            Format::Csv => report::csv::to_csv(r),
-            Format::Md => report::markdown::render(r),
-        }
-    }
-}
 
 fn usage() -> ! {
     eprintln!("usage: experiments [--quick] [--jobs N] [--scale tiny|small|full|paper] [--sampling U:D[:W]]");
@@ -98,23 +59,6 @@ fn usage() -> ! {
     eprintln!("       experiments status [--dir DIR] [--metrics] [--shutdown]");
     eprintln!("       experiments profile [ids...] [--jobs N] [--scale S] [--format F] [--out FILE]");
     std::process::exit(2);
-}
-
-fn flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let had = args.iter().any(|a| a == flag);
-    args.retain(|a| a != flag);
-    had
 }
 
 /// Committed baseline directory (resolved at compile time; the binary is
@@ -152,53 +96,36 @@ fn main() {
     // Explicit worker count: overrides the ambient `VICTIMA_JOBS` without
     // touching the environment, so runs are reproducible from the command
     // line alone.
-    let jobs: Option<usize> = flag_value(&mut args, "--jobs").map(|v| {
-        v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-            eprintln!("--jobs needs a positive integer");
-            std::process::exit(2);
-        })
-    });
-    let format_flag = flag_value(&mut args, "--format").map(|v| {
-        Format::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown format {v:?} (pick text, json, jsonl, csv or md)");
-            std::process::exit(2);
-        })
-    });
-    let sampling = flag_value(&mut args, "--sampling").map(|v| {
-        sim::SamplingConfig::parse(&v).unwrap_or_else(|e| {
-            eprintln!("--sampling: {e}");
-            std::process::exit(2);
-        })
-    });
+    let jobs = parse_jobs(&mut args);
+    let format_flag = parse_format(&mut args);
+    let sampling = parse_sampling(&mut args);
     let scale = parse_scale(&mut args);
     let out_dir = flag_value(&mut args, "--out").map(std::path::PathBuf::from);
     if (check || save_baselines) && (format_flag.is_some() || out_dir.is_some()) {
-        eprintln!("--check/--save-baselines use the baseline JSON format; --format/--out don't apply");
-        std::process::exit(2);
+        fail("--check/--save-baselines use the baseline JSON format; --format/--out don't apply");
     }
     if (check || save_baselines) && sampling.is_some() {
-        eprintln!("--sampling changes results; the pinned --check/--save-baselines profile is full-detail");
-        std::process::exit(2);
+        fail("--sampling changes results; the pinned --check/--save-baselines profile is full-detail");
     }
     if (check || save_baselines) && scale.is_some() {
-        eprintln!("--scale changes results; --check/--save-baselines pin each baseline's own profile");
-        std::process::exit(2);
+        fail("--scale changes results; --check/--save-baselines pin each baseline's own profile");
     }
     let format = format_flag.unwrap_or(Format::Text);
 
     if take_flag(&mut args, "--list") {
-        println!("experiments:");
+        let mut list = String::from("experiments:\n");
         for id in experiments::checked_ids() {
-            println!("  {id}");
+            list += &format!("  {id}\n");
         }
-        println!("workloads:");
+        list += "workloads:\n";
         for w in workloads::registry::WORKLOAD_NAMES {
-            println!("  {w}");
+            list += &format!("  {w}\n");
         }
-        println!("mixes (fig12: 2-core, fig13: 4-core):");
+        list += "mixes (fig12: 2-core, fig13: 4-core):\n";
         for m in workloads::mixes::all() {
-            println!("  {:<8} {}", m.name, m.slots.join("+"));
+            list += &format!("  {:<8} {}\n", m.name, m.slots.join("+"));
         }
+        out(&list);
         return;
     }
     // Ids come from --exp (comma-separated) and positionals; "all"
@@ -249,10 +176,7 @@ fn main() {
     for id in &resolved {
         match experiments::by_id(&ctx, id) {
             Some(batch) => reports.extend(batch),
-            None => {
-                eprintln!("unknown experiment: {id} (try --list)");
-                std::process::exit(2);
-            }
+            None => fail(&format!("unknown experiment: {id} (try --list)")),
         }
     }
 
@@ -272,11 +196,11 @@ fn main() {
 fn emit(reports: &[ExperimentReport], format: Format, dir: Option<&std::path::Path>) -> i32 {
     let Some(dir) = dir else {
         match format {
-            Format::Md => print!("{}", report::markdown::render_combined(reports)),
-            Format::Text => print!("{}", report::text::render_all(reports)),
+            Format::Md => out(&report::markdown::render_combined(reports)),
+            Format::Text => out(&report::text::render_all(reports)),
             _ => {
                 for r in reports {
-                    print!("{}", format.render(r));
+                    out(&format.render(r));
                 }
             }
         }
@@ -314,7 +238,7 @@ fn write_baselines(reports: &[ExperimentReport]) -> i32 {
             eprintln!("cannot write {}: {e}", path.display());
             return 1;
         }
-        println!("baseline saved: {}", path.display());
+        out(&format!("baseline saved: {}\n", path.display()));
     }
     0
 }
@@ -329,41 +253,46 @@ fn run_check(reports: &[ExperimentReport]) -> i32 {
             Ok(text) => match report::json::from_json(&text) {
                 Ok(b) => b,
                 Err(e) => {
-                    println!("FAIL {}: baseline unreadable: {e}", r.id);
+                    out(&format!("FAIL {}: baseline unreadable: {e}\n", r.id));
                     failed = true;
                     continue;
                 }
             },
             Err(e) => {
-                println!("FAIL {}: no baseline at {} ({e}); run --save-baselines", r.id, path.display());
+                out(&format!(
+                    "FAIL {}: no baseline at {} ({e}); run --save-baselines\n",
+                    r.id,
+                    path.display()
+                ));
                 failed = true;
                 continue;
             }
         };
         let outcome = report::check_report(r, &baseline);
         if outcome.passed() {
-            println!("ok   {}", outcome.summary());
+            out(&format!("ok   {}\n", outcome.summary()));
         } else {
             failed = true;
-            println!("FAIL {}", outcome.summary());
+            let mut lines = format!("FAIL {}\n", outcome.summary());
             for m in &outcome.provenance_mismatches {
-                println!("       provenance {m}");
+                lines += &format!("       provenance {m}\n");
             }
             for m in &outcome.missing {
-                println!("       missing metric {m}");
+                lines += &format!("       missing metric {m}\n");
             }
             for m in &outcome.unexpected {
-                println!("       unexpected metric {m} (baseline refresh needed?)");
+                lines += &format!("       unexpected metric {m} (baseline refresh needed?)\n");
             }
             for d in &outcome.failures {
-                println!("       {d}");
+                lines += &format!("       {d}\n");
             }
+            out(&lines);
         }
     }
     if failed {
         1
     } else {
-        println!("check passed: {} experiment(s) match their baselines", reports.len());
+        out(&format!("check passed: {} experiment(s) match their baselines\n", reports.len()));
         0
     }
 }
@@ -375,22 +304,10 @@ fn run_check(reports: &[ExperimentReport]) -> i32 {
 /// pinned `--check` profile over every checked experiment, so a bare
 /// `profile` answers "where does the regression gate spend its time?".
 fn profile_cli(mut args: Vec<String>) -> i32 {
-    let jobs: Option<usize> = flag_value(&mut args, "--jobs").map(|v| {
-        v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-            eprintln!("--jobs needs a positive integer");
-            std::process::exit(2);
-        })
-    });
+    let jobs = parse_jobs(&mut args);
     let scale = parse_scale(&mut args);
-    let format = flag_value(&mut args, "--format")
-        .map(|v| {
-            Format::parse(&v).unwrap_or_else(|| {
-                eprintln!("unknown format {v:?} (pick text, json, jsonl, csv or md)");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(Format::Text);
-    let out = flag_value(&mut args, "--out")
+    let format = parse_format(&mut args).unwrap_or(Format::Text);
+    let path = flag_value(&mut args, "--out")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(victima_bench::profile::artifact_path);
     if let Some(unknown) = args.iter().find(|a| a.starts_with('-')) {
@@ -410,16 +327,16 @@ fn profile_cli(mut args: Vec<String>) -> i32 {
     let start = std::time::Instant::now();
     match victima_bench::profile::profile_report(&ctx, &ids) {
         Ok(r) => {
-            if let Err(e) = std::fs::write(&out, report::json::to_json(&r)) {
-                eprintln!("cannot write {}: {e}", out.display());
+            if let Err(e) = std::fs::write(&path, report::json::to_json(&r)) {
+                eprintln!("cannot write {}: {e}", path.display());
                 return 1;
             }
-            print!("{}", format.render(&r));
+            out(&format.render(&r));
             eprintln!(
                 "[profiled {} experiment(s) in {:.1}s; artifact at {}]",
                 ids.len(),
                 start.elapsed().as_secs_f64(),
-                out.display()
+                path.display()
             );
             0
         }
@@ -438,28 +355,7 @@ const TRACE_INSTR: u64 = 50_000;
 /// [`ExpCtx::at_scale`], exiting 2 on a malformed `VICTIMA_INSTR` /
 /// `VICTIMA_WARMUP` value.
 fn env_ctx(scale: workloads::Scale) -> ExpCtx {
-    ExpCtx::at_scale(scale).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
-}
-
-/// Resolves the `--scale` flag; `None` when absent so each surface
-/// applies its own default (Tiny for the trace/ckpt CLIs, Full for the
-/// experiment suite).
-fn parse_scale(args: &mut Vec<String>) -> Option<workloads::Scale> {
-    flag_value(args, "--scale").map(|v| {
-        workloads::Scale::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown scale {v:?} (pick tiny, small, full or paper)");
-            std::process::exit(2);
-        })
-    })
-}
-
-/// Resolves the `--config` name for the trace subcommands (the same
-/// registry the sweep service validates against).
-fn config_by_name(name: &str) -> Option<sim::SystemConfig> {
-    sim::SystemConfig::by_name(name)
+    ExpCtx::at_scale(scale).unwrap_or_else(|e| fail(&e))
 }
 
 /// `experiments trace <record|replay|info> …` — see `usage()`.
@@ -468,49 +364,18 @@ fn trace_cli(mut args: Vec<String>) -> i32 {
         usage();
     }
     let sub = args.remove(0);
-    let cfg = flag_value(&mut args, "--config")
-        .map(|v| {
-            config_by_name(&v).unwrap_or_else(|| {
-                eprintln!("unknown config {v:?} (pick radix, victima, victima+stlb or pom)");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or_else(sim::SystemConfig::radix);
-    let format = flag_value(&mut args, "--format")
-        .map(|v| {
-            Format::parse(&v).unwrap_or_else(|| {
-                eprintln!("unknown format {v:?} (pick text, json, jsonl, csv or md)");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(Format::Text);
-    let out = flag_value(&mut args, "--out").map(std::path::PathBuf::from);
-    let jobs: usize = flag_value(&mut args, "--jobs")
-        .map(|v| {
-            v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                eprintln!("--jobs needs a positive integer");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or_else(|| sim::SimEngine::new().jobs());
-    let parse_u64 = |args: &mut Vec<String>, flag: &str, default: u64| -> u64 {
-        flag_value(args, flag)
-            .map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("{flag} needs an unsigned integer");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(default)
-    };
+    let cfg = parse_config(&mut args).unwrap_or_else(sim::SystemConfig::radix);
+    let format = parse_format(&mut args).unwrap_or(Format::Text);
+    let out_path = flag_value(&mut args, "--out").map(std::path::PathBuf::from);
+    let jobs = parse_jobs(&mut args).unwrap_or_else(|| sim::SimEngine::new().jobs());
 
     match sub.as_str() {
         "record" => {
-            let seed = parse_u64(&mut args, "--seed", vm_types::DEFAULT_SEED);
-            let warmup = parse_u64(&mut args, "--warmup", TRACE_WARMUP);
-            let instr = parse_u64(&mut args, "--instr", TRACE_INSTR);
+            let seed = parse_u64(&mut args, "--seed").unwrap_or(vm_types::DEFAULT_SEED);
+            let warmup = parse_u64(&mut args, "--warmup").unwrap_or(TRACE_WARMUP);
+            let instr = parse_u64(&mut args, "--instr").unwrap_or(TRACE_INSTR);
             let scale = parse_scale(&mut args).unwrap_or(workloads::Scale::Tiny);
-            let Some(out) = out else {
+            let Some(path) = out_path else {
                 eprintln!("trace record needs --out FILE");
                 return 2;
             };
@@ -518,18 +383,18 @@ fn trace_cli(mut args: Vec<String>) -> i32 {
                 eprintln!("trace record takes exactly one workload name");
                 return 2;
             };
-            match victima_bench::trace::record(workload, &cfg, scale, seed, warmup, instr, &out) {
+            match victima_bench::trace::record(workload, &cfg, scale, seed, warmup, instr, &path) {
                 Ok(s) => {
-                    println!(
-                        "recorded {}: {} records ({} loads, {} stores) / {} instructions, {} chunk(s), {} bytes",
-                        out.display(),
+                    out(&format!(
+                        "recorded {}: {} records ({} loads, {} stores) / {} instructions, {} chunk(s), {} bytes\n",
+                        path.display(),
                         s.counts.records,
                         s.counts.loads,
                         s.counts.stores,
                         s.counts.instructions,
                         s.chunks,
                         s.bytes
-                    );
+                    ));
                     0
                 }
                 Err(e) => {
@@ -550,7 +415,7 @@ fn trace_cli(mut args: Vec<String>) -> i32 {
                 victima_bench::trace::info_report(path)
             };
             match report {
-                Ok(r) => emit(&[r], format, out.as_deref()),
+                Ok(r) => emit(&[r], format, out_path.as_deref()),
                 Err(e) => {
                     eprintln!("trace {sub} failed: {e}");
                     1
@@ -567,44 +432,16 @@ fn ckpt_cli(mut args: Vec<String>) -> i32 {
         usage();
     }
     let sub = args.remove(0);
-    let format = flag_value(&mut args, "--format")
-        .map(|v| {
-            Format::parse(&v).unwrap_or_else(|| {
-                eprintln!("unknown format {v:?} (pick text, json, jsonl, csv or md)");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(Format::Text);
-    let out = flag_value(&mut args, "--out").map(std::path::PathBuf::from);
+    let format = parse_format(&mut args).unwrap_or(Format::Text);
+    let out_path = flag_value(&mut args, "--out").map(std::path::PathBuf::from);
 
     match sub.as_str() {
         "save" => {
-            let cfg = flag_value(&mut args, "--config")
-                .map(|v| {
-                    config_by_name(&v).unwrap_or_else(|| {
-                        eprintln!("unknown config {v:?} (pick radix, victima, victima+stlb or pom)");
-                        std::process::exit(2);
-                    })
-                })
-                .unwrap_or_else(sim::SystemConfig::radix);
+            let cfg = parse_config(&mut args).unwrap_or_else(sim::SystemConfig::radix);
             let scale = parse_scale(&mut args).unwrap_or(workloads::Scale::Tiny);
-            let seed = flag_value(&mut args, "--seed")
-                .map(|v| {
-                    v.parse().unwrap_or_else(|_| {
-                        eprintln!("--seed needs an unsigned integer");
-                        std::process::exit(2);
-                    })
-                })
-                .unwrap_or(vm_types::DEFAULT_SEED);
-            let warmup = flag_value(&mut args, "--warmup")
-                .map(|v| {
-                    v.parse().unwrap_or_else(|_| {
-                        eprintln!("--warmup needs an unsigned integer");
-                        std::process::exit(2);
-                    })
-                })
-                .unwrap_or(scale.default_budget().0);
-            let Some(out) = out else {
+            let seed = parse_u64(&mut args, "--seed").unwrap_or(vm_types::DEFAULT_SEED);
+            let warmup = parse_u64(&mut args, "--warmup").unwrap_or(scale.default_budget().0);
+            let Some(path) = out_path else {
                 eprintln!("ckpt save needs --out FILE");
                 return 2;
             };
@@ -612,12 +449,12 @@ fn ckpt_cli(mut args: Vec<String>) -> i32 {
                 eprintln!("ckpt save takes exactly one workload name");
                 return 2;
             };
-            match victima_bench::ckpt::save(workload, &cfg, scale, seed, warmup, &out) {
+            match victima_bench::ckpt::save(workload, &cfg, scale, seed, warmup, &path) {
                 Ok(ck) => {
                     let words: usize = ck.sections().map(|(_, w)| w.len()).sum();
-                    println!(
-                        "saved {}: {} under {} @ {} scale, {} warm-up instructions, {} stream refs, {} sections / {} state words",
-                        out.display(),
+                    out(&format!(
+                        "saved {}: {} under {} @ {} scale, {} warm-up instructions, {} stream refs, {} sections / {} state words\n",
+                        path.display(),
                         ck.meta.workload,
                         ck.meta.config,
                         ck.meta.scale.name(),
@@ -625,7 +462,7 @@ fn ckpt_cli(mut args: Vec<String>) -> i32 {
                         ck.meta.refs_consumed,
                         ck.sections().count(),
                         words
-                    );
+                    ));
                     0
                 }
                 Err(e) => {
@@ -635,12 +472,7 @@ fn ckpt_cli(mut args: Vec<String>) -> i32 {
             }
         }
         "resume" | "info" => {
-            let instr: Option<u64> = flag_value(&mut args, "--instr").map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("--instr needs an unsigned integer");
-                    std::process::exit(2);
-                })
-            });
+            let instr = parse_u64(&mut args, "--instr");
             let [file] = args.as_slice() else {
                 eprintln!("ckpt {sub} takes exactly one checkpoint file");
                 return 2;
@@ -652,7 +484,7 @@ fn ckpt_cli(mut args: Vec<String>) -> i32 {
                 victima_bench::ckpt::info_report(path)
             };
             match report {
-                Ok(r) => emit(&[r], format, out.as_deref()),
+                Ok(r) => emit(&[r], format, out_path.as_deref()),
                 Err(e) => {
                     eprintln!("ckpt {sub} failed: {e}");
                     1

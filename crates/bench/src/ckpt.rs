@@ -9,23 +9,17 @@
 //! [`System::run_with_warmup`] run (pinned by `tests/checkpoint.rs`).
 
 use report::{Column, ExperimentReport, Metric, Provenance, Unit, Value};
+use sim::config::CONFIG_KEYS;
 use sim::{ckpt as sim_ckpt, SimStats, System, SystemConfig};
 use std::path::Path;
 use victima_trace::{Checkpoint, TraceError};
 use workloads::{registry, Scale};
 
 /// Resolves a system configuration from its report name (the `cfg.name`
-/// a checkpoint records). Covers every native single-core config the
-/// CLI can record under.
+/// a checkpoint records). Covers every config a `--config` key names
+/// ([`CONFIG_KEYS`]), so every config the CLI can record under.
 pub fn config_named(name: &str) -> Option<SystemConfig> {
-    [
-        SystemConfig::radix(),
-        SystemConfig::victima(),
-        SystemConfig::victima_plus_stlb(),
-        SystemConfig::pom_tlb(),
-    ]
-    .into_iter()
-    .find(|c| c.name == name)
+    CONFIG_KEYS.iter().filter_map(|key| SystemConfig::by_name(key)).find(|c| c.name == name)
 }
 
 fn build_system(workload: &str, cfg: &SystemConfig, scale: Scale, seed: u64) -> Result<System, TraceError> {

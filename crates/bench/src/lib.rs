@@ -9,8 +9,8 @@
 //! CSV or markdown and feeds the `--check` regression gate.
 
 pub mod ckpt;
+pub mod cli;
 pub mod experiments;
-pub mod perf;
 pub mod profile;
 pub mod service;
 pub mod trace;
@@ -87,7 +87,8 @@ impl ExpCtx {
         Ok(Self::with_budget(scale, warmup, instructions))
     }
 
-    /// Quick context for CI / `cargo bench` smoke runs.
+    /// The `--quick` profile: 60K warm-up + 600K measured instructions,
+    /// for smoke runs of whole experiments (`experiments --quick all`).
     pub fn quick_at(scale: Scale) -> Self {
         Self::with_budget(scale, 60_000, 600_000)
     }

@@ -9,10 +9,10 @@
 //! artifact plumbing all apply unchanged. Headline simulator metrics
 //! (walks, TLB misses, PWC hits) ride along as report metrics.
 //!
-//! Wall-clock numbers are machine-dependent, so this artifact — like
-//! `BENCH_throughput.json` — is *not* part of `experiments --check`;
-//! nothing here can perturb result bytes (the determinism gate in
-//! `crates/bench/tests/obs.rs` pins that).
+//! Wall-clock numbers are machine-dependent, so this artifact is *not*
+//! part of `experiments --check`; nothing here can perturb result bytes
+//! (the determinism gate in `crates/bench/tests/obs.rs` pins that).
+//! Simulator throughput is the repository benchmark's job (`perfbench/`).
 
 use crate::{experiments, Column, ExpCtx, ExperimentReport, Metric, Unit, Value};
 use obs::MetricValue;
@@ -22,7 +22,7 @@ use std::path::PathBuf;
 pub const OBS_ID: &str = "bench_obs";
 
 /// Where the artifact is written: `VICTIMA_OBS_OUT` or `BENCH_obs.json`
-/// in the invoking directory (same convention as `perf::artifact_path`).
+/// in the invoking directory.
 pub fn artifact_path() -> PathBuf {
     std::env::var_os("VICTIMA_OBS_OUT").map(PathBuf::from).unwrap_or_else(|| PathBuf::from("BENCH_obs.json"))
 }

@@ -3,6 +3,7 @@
 //! stream on stdout). All actual service machinery lives in the `svc`
 //! crate; this module only translates flags into [`svc`] calls.
 
+use crate::cli::{fail, flag_value, out, parse_sampling, parse_scale, parse_u64, take_flag};
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -10,34 +11,6 @@ use svc::{ClientOptions, DaemonConfig, FaultPlan, StreamLine, SweepRequest, Work
 
 /// Default service directory, relative to the working directory.
 pub const DEFAULT_DIR: &str = ".victima-svc";
-
-fn fail(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
-
-fn flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        fail(&format!("{flag} needs a value"));
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let had = args.iter().any(|a| a == flag);
-    args.retain(|a| a != flag);
-    had
-}
-
-fn parse_u64(args: &mut Vec<String>, flag: &str) -> Option<u64> {
-    flag_value(args, flag).map(|v| match v.parse() {
-        Ok(n) => n,
-        Err(_) => fail(&format!("{flag} needs an unsigned integer")),
-    })
-}
 
 fn service_dir(args: &mut Vec<String>) -> PathBuf {
     flag_value(args, "--dir").map_or_else(|| PathBuf::from(DEFAULT_DIR), PathBuf::from)
@@ -124,18 +97,12 @@ fn parse_request(args: &mut Vec<String>) -> SweepRequest {
         None | Some("all") => workloads::registry::WORKLOAD_NAMES.iter().map(|&w| w.to_owned()).collect(),
         Some(list) => list.split(',').map(str::to_owned).collect(),
     };
-    let scale = flag_value(args, "--scale").map_or(workloads::Scale::Tiny, |v| {
-        workloads::Scale::parse(&v)
-            .unwrap_or_else(|| fail(&format!("unknown scale {v:?} (pick tiny, small, full or paper)")))
-    });
+    let scale = parse_scale(args).unwrap_or(workloads::Scale::Tiny);
     let (default_warmup, default_instr) = scale.default_budget();
     let warmup = parse_u64(args, "--warmup").unwrap_or(default_warmup);
     let instructions = parse_u64(args, "--instr").unwrap_or(default_instr);
     let seed = parse_u64(args, "--seed").unwrap_or(vm_types::DEFAULT_SEED);
-    let sampling = flag_value(args, "--sampling").map(|v| match sim::SamplingConfig::parse(&v) {
-        Ok(s) => s,
-        Err(e) => fail(&format!("--sampling: {e}")),
-    });
+    let sampling = parse_sampling(args);
     SweepRequest { configs, workloads, scale, warmup, instructions, seed, sampling }
 }
 
@@ -171,7 +138,7 @@ pub fn submit_cli(mut args: Vec<String>) -> i32 {
         Err(e) => fail(&format!("cannot create {}: {e}", p.display())),
     });
     let mut emit = |line: &str| {
-        println!("{line}");
+        out(&format!("{line}\n"));
         if let Some(f) = out_file.as_mut() {
             if let Err(e) = writeln!(f, "{line}") {
                 eprintln!("submit: write to --out failed: {e}");
@@ -254,7 +221,7 @@ pub fn status_cli(mut args: Vec<String>) -> i32 {
     if want_metrics {
         return match svc::metrics(&dir) {
             Ok(m) => {
-                println!("{}", m.to_line());
+                out(&format!("{}\n", m.to_line()));
                 eprintln!(
                     "[up {:.1}s: queue {}, {} worker(s) at {:.0}% busy, latency mean {:.1} ms over {} spec(s), cache hit ratio {:.0}% ({} hit/{} miss), {} retried, {} timed out, {} failed, {} quarantined, {} respawn(s)]",
                     m.uptime_ms as f64 / 1_000.0,
@@ -294,7 +261,7 @@ pub fn status_cli(mut args: Vec<String>) -> i32 {
     }
     match svc::status(&dir) {
         Ok(info) => {
-            println!("{}", info.to_line());
+            out(&format!("{}\n", info.to_line()));
             eprintln!(
                 "[{} worker(s), jobs {}/{} done, specs {} done ({} simulated, {} cached, {} failed, {} timed out, {} retried), cache {} entries/{} B ({} quarantined, {} evicted), {} journal record(s) skipped]",
                 info.workers,

@@ -94,3 +94,20 @@ fn trace_cli_rejects_bad_inputs() {
     assert!(stderr.contains("magic"), "{stderr}");
     std::fs::remove_dir_all(&bogus).ok();
 }
+
+/// A reader that has gone away (`experiments --list | head -1`) ends the
+/// process quietly: no panic from a failed stdout write.
+#[test]
+fn closed_stdout_pipe_ends_quietly() {
+    let (reader, writer) = std::io::pipe().expect("create pipe");
+    // Closed before the spawn, so the very first write fails.
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("--list")
+        .stdout(writer)
+        .output()
+        .expect("spawn binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "exited like a panic: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

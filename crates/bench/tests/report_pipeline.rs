@@ -46,11 +46,11 @@ fn text_and_json_artifacts_are_byte_stable_across_worker_counts() {
 }
 
 /// Every committed baseline parses, is canonical (re-serialising is
-/// byte-identical) and carries the pinned check profile's provenance.
+/// byte-identical) and carries the pinned check profile's provenance,
+/// and the baseline directory holds nothing else.
 #[test]
 fn committed_baselines_are_canonical_artifacts() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines");
-    let mut seen = 0;
     for id in experiments::checked_ids() {
         let path = format!("{dir}/{id}.json");
         let text = std::fs::read_to_string(&path)
@@ -67,9 +67,16 @@ fn committed_baselines_are_canonical_artifacts() {
         assert_eq!((r.provenance.warmup, r.provenance.instructions), budget, "{path}");
         assert_eq!(r.provenance.engine, sim::ENGINE_ID, "{path}");
         assert!(!r.metrics.is_empty(), "{path}: a baseline without metrics gates nothing");
-        seen += 1;
     }
-    assert_eq!(seen, experiments::checked_ids().len());
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+        .map(|entry| entry.expect("readable directory entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    let mut expected: Vec<String> =
+        experiments::checked_ids().iter().map(|id| format!("{id}.json")).collect();
+    expected.sort();
+    assert_eq!(files, expected, "{dir} must hold exactly one <id>.json per checked experiment");
 }
 
 /// The check gate passes for a cheap experiment subset computed in-process

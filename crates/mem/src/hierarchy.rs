@@ -243,19 +243,6 @@ impl Hierarchy {
         }
     }
 
-    /// Installs a recycled prefetch scratch buffer (the batch engine hands
-    /// workers' buffers from one finished run to the next so a fresh
-    /// system starts with warmed capacity).
-    pub fn set_prefetch_scratch(&mut self, mut scratch: Vec<PhysAddr>) {
-        scratch.clear();
-        self.pf_scratch = scratch;
-    }
-
-    /// Takes the prefetch scratch buffer back out (end of a run).
-    pub fn take_prefetch_scratch(&mut self) -> Vec<PhysAddr> {
-        std::mem::take(&mut self.pf_scratch)
-    }
-
     /// Immutable access to the L2 (Victima probes TLB blocks there).
     pub fn l2(&self) -> &Cache {
         &self.l2

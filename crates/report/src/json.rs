@@ -497,11 +497,13 @@ pub fn parse_json(text: &str) -> Result<JsonValue, ParseError> {
 
 // ------------------------------------------------- report <-> JsonValue
 
-fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
+/// Builds an object from `(key, value)` members, keeping their order.
+pub fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
     JsonValue::Obj(members.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
-fn str_arr(items: &[String]) -> JsonValue {
+/// Builds an array of strings.
+pub fn str_arr(items: &[String]) -> JsonValue {
     JsonValue::Arr(items.iter().map(|s| JsonValue::Str(s.clone())).collect())
 }
 
@@ -585,19 +587,23 @@ pub fn from_json(text: &str) -> Result<ExperimentReport, ParseError> {
     value_to_report(&doc).map_err(|message| ParseError { offset: 0, message })
 }
 
-fn req<'v>(doc: &'v JsonValue, key: &str) -> Result<&'v JsonValue, String> {
+/// The member `key` of object `doc`; errors `missing key "<key>"`.
+pub fn req<'v>(doc: &'v JsonValue, key: &str) -> Result<&'v JsonValue, String> {
     doc.get(key).ok_or_else(|| format!("missing key {key:?}"))
 }
 
-fn req_str(doc: &JsonValue, key: &str) -> Result<String, String> {
+/// The string member `key` of `doc`.
+pub fn req_str(doc: &JsonValue, key: &str) -> Result<String, String> {
     req(doc, key)?.as_str().map(str::to_owned).ok_or_else(|| format!("{key:?} must be a string"))
 }
 
-fn req_u64(doc: &JsonValue, key: &str) -> Result<u64, String> {
+/// The non-negative integer member `key` of `doc`.
+pub fn req_u64(doc: &JsonValue, key: &str) -> Result<u64, String> {
     req(doc, key)?.as_u64().ok_or_else(|| format!("{key:?} must be a non-negative integer"))
 }
 
-fn req_str_arr(doc: &JsonValue, key: &str) -> Result<Vec<String>, String> {
+/// The string-array member `key` of `doc`.
+pub fn req_str_arr(doc: &JsonValue, key: &str) -> Result<Vec<String>, String> {
     req(doc, key)?
         .as_arr()
         .ok_or_else(|| format!("{key:?} must be an array"))?

@@ -194,18 +194,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Reusable per-worker simulation scratch. Each pool worker owns one and
-/// hands it from a finished run to the next spec it picks up, so
-/// fill/prefetch buffers keep their grown capacity across runs instead of
-/// being reallocated per spec. Purely an allocation-reuse vehicle: it
-/// carries no results, so determinism is untouched.
-#[derive(Debug, Default)]
-pub struct RunScratch {
-    /// Recycled stream-prefetch candidate buffer (see
-    /// `Hierarchy::set_prefetch_scratch`).
-    prefetch: Vec<vm_types::PhysAddr>,
-}
-
 /// The outcome of one [`RunSpec`].
 #[derive(Clone, Debug)]
 pub struct RunResult {
@@ -287,23 +275,16 @@ impl SimEngine {
     /// Panics if the spec names an unknown workload or pairs a mechanism
     /// with an unsupported execution mode.
     pub fn run_one(index: usize, spec: &RunSpec) -> RunResult {
-        Self::run_one_observed(index, spec, &mut RunScratch::default(), ObsMode::from_env())
+        Self::run_one_observed(index, spec, ObsMode::from_env())
     }
 
-    /// [`SimEngine::run_one`] with a caller-owned [`RunScratch`] (the
-    /// worker-pool entry point, which recycles each worker's buffers
-    /// across the specs it executes) and an explicit observability
-    /// mode. Enablement is post-construction system state (like the
-    /// record hook), so the spec fingerprint and the statistics are
-    /// untouched in every mode; metrics and spans come back on the
-    /// result as side channels. With tracing on, the first span is
-    /// `setup`: the workload build plus `System::new`.
-    pub fn run_one_observed(
-        index: usize,
-        spec: &RunSpec,
-        scratch: &mut RunScratch,
-        obs: ObsMode,
-    ) -> RunResult {
+    /// [`SimEngine::run_one`] with an explicit observability mode (the
+    /// worker-pool entry point). Enablement is post-construction system
+    /// state (like the record hook), so the spec fingerprint and the
+    /// statistics are untouched in every mode; metrics and spans come
+    /// back on the result as side channels. With tracing on, the first
+    /// span is `setup`: the workload build plus `System::new`.
+    pub fn run_one_observed(index: usize, spec: &RunSpec, obs: ObsMode) -> RunResult {
         let start = Instant::now();
         // A fresh tracer's clock reads 0, so a tracer made before set-up
         // times the workload build and `System::new` as span [0, now).
@@ -317,7 +298,6 @@ impl SimEngine {
             tracer.record("setup", 0, &[]);
             sys.tracer = Some(tracer);
         }
-        sys.hier.set_prefetch_scratch(std::mem::take(&mut scratch.prefetch));
         if spec.collect_features {
             sys.enable_feature_tracking();
         }
@@ -331,7 +311,6 @@ impl SimEngine {
                 sys.finalize_stats();
             }
         }
-        scratch.prefetch = sys.hier.take_prefetch_scratch();
         RunResult {
             index,
             workload: spec.workload.clone(),
@@ -364,9 +343,7 @@ impl SimEngine {
     /// ```
     pub fn run_batch(&self, specs: Vec<RunSpec>) -> Vec<RunResult> {
         let obs = self.obs;
-        self.map_reusing(specs, RunScratch::default, move |i, spec, scratch| {
-            Self::run_one_observed(i, spec, scratch, obs)
-        })
+        self.map(specs, move |i, spec| Self::run_one_observed(i, spec, obs))
     }
 
     /// Deterministic parallel map over arbitrary work items: applies `f`
@@ -381,40 +358,21 @@ impl SimEngine {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        self.map_reusing(items, || (), |i, item, ()| f(i, item))
-    }
-
-    /// [`SimEngine::map`] with worker-local state: `init` builds one `W`
-    /// per pool worker, and `f` receives it mutably alongside each item
-    /// the worker executes. `W` must not influence results (it is a
-    /// scratch-reuse vehicle — see [`RunScratch`]); determinism still
-    /// rests on `f` being a pure function of `(index, item)`.
-    pub fn map_reusing<T, R, W, F, I>(&self, items: Vec<T>, init: I, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T, &mut W) -> R + Sync,
-        I: Fn() -> W + Sync,
-    {
         let n = self.jobs.min(items.len());
         if n <= 1 {
-            let mut scratch = init();
-            return items.iter().enumerate().map(|(i, s)| f(i, s, &mut scratch)).collect();
+            return items.iter().enumerate().map(|(i, s)| f(i, s)).collect();
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..n {
-                scope.spawn(|| {
-                    let mut scratch = init();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        let result = f(i, &items[i], &mut scratch);
-                        *slots[i].lock().expect("result slot poisoned") = Some(result);
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
                     }
+                    let result = f(i, &items[i]);
+                    *slots[i].lock().expect("result slot poisoned") = Some(result);
                 });
             }
         });

@@ -47,7 +47,7 @@ pub mod system;
 pub mod virt;
 
 pub use config::{ExecMode, SystemConfig, TimingConfig, TranslationMechanism};
-pub use engine::{suite_specs, RunResult, RunScratch, RunSpec, SimEngine, ENGINE_ID};
+pub use engine::{suite_specs, RunResult, RunSpec, SimEngine, ENGINE_ID};
 pub use epochs::EpochTracker;
 pub use multicore::{slot_seed, MultiCoreStats, MultiCoreSystem, ProcSummary};
 pub use obs::{ObsMode, SimMetrics};

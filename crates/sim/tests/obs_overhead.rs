@@ -138,8 +138,8 @@ fn observability_cannot_change_results() {
     for spec in specs {
         let label = spec.label();
         let cfg = &spec.config;
-        let off = SimEngine::run_one_observed(0, &spec, &mut Default::default(), ObsMode::Off);
-        let full = SimEngine::run_one_observed(0, &spec, &mut Default::default(), ObsMode::Full);
+        let off = SimEngine::run_one_observed(0, &spec, ObsMode::Off);
+        let full = SimEngine::run_one_observed(0, &spec, ObsMode::Full);
         assert_eq!(off.stats, full.stats, "{label}: obs must be invisible to SimStats");
         assert!(off.spans.is_empty() && off.metrics.is_none(), "{label}: Off collects nothing");
         assert!(!full.spans.is_empty(), "{label}: Full collects phase spans");

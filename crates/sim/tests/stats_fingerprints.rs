@@ -29,7 +29,7 @@ fn fnv(h: u64, bytes: &[u8]) -> u64 {
 
 /// The stats hash and, for native configs, the metric hash of one run.
 fn fingerprint(spec: &RunSpec) -> (u64, Option<u64>) {
-    let r = SimEngine::run_one_observed(0, spec, &mut Default::default(), ObsMode::Metrics);
+    let r = SimEngine::run_one_observed(0, spec, ObsMode::Metrics);
     let mut stats = fnv(FNV_OFFSET, format!("{:?}", r.stats).as_bytes());
     if let Some(t) = &r.features {
         stats = fnv(stats, format!("{:?}", t.dataset(0.2)).as_bytes());

@@ -41,7 +41,10 @@
 //! fingerprint, which is what makes a warm resubmission byte-identical
 //! to the cold run that populated it.
 
-use report::json::{parse_json, report_to_value, value_to_report, write_json_compact, JsonValue};
+use report::json::{
+    obj, parse_json, report_to_value, req, req_str, req_str_arr, req_u64, str_arr, value_to_report,
+    write_json_compact, JsonValue,
+};
 use report::{Column, ExperimentReport, Metric, Provenance, Unit, Value};
 use sim::{RunSpec, SamplingConfig, SimStats, SystemConfig, ENGINE_ID};
 use workloads::{registry, Scale};
@@ -49,26 +52,6 @@ use workloads::{registry, Scale};
 /// Protocol identity stamped on every response line. Bump when the line
 /// grammar changes incompatibly.
 pub const PROTO_ID: &str = "victima-svc/1";
-
-fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(members.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
-fn str_arr(items: &[String]) -> JsonValue {
-    JsonValue::Arr(items.iter().map(|s| JsonValue::Str(s.clone())).collect())
-}
-
-fn req<'v>(doc: &'v JsonValue, key: &str) -> Result<&'v JsonValue, String> {
-    doc.get(key).ok_or_else(|| format!("missing key {key:?}"))
-}
-
-fn req_str(doc: &JsonValue, key: &str) -> Result<String, String> {
-    req(doc, key)?.as_str().map(str::to_owned).ok_or_else(|| format!("{key:?} must be a string"))
-}
-
-fn req_u64(doc: &JsonValue, key: &str) -> Result<u64, String> {
-    req(doc, key)?.as_u64().ok_or_else(|| format!("{key:?} must be a non-negative integer"))
-}
 
 /// Reads an integer member that newer daemons emit and older ones do not
 /// (additive `victima-svc/1` extensions); absent means zero.
@@ -90,15 +73,6 @@ fn req_u64_arr(doc: &JsonValue, key: &str) -> Result<Vec<u64>, String> {
 
 fn u64_arr(items: &[u64]) -> JsonValue {
     JsonValue::Arr(items.iter().map(|&v| JsonValue::Int(v as i64)).collect())
-}
-
-fn req_str_arr(doc: &JsonValue, key: &str) -> Result<Vec<String>, String> {
-    req(doc, key)?
-        .as_arr()
-        .ok_or_else(|| format!("{key:?} must be an array"))?
-        .iter()
-        .map(|v| v.as_str().map(str::to_owned).ok_or_else(|| format!("{key:?} entries must be strings")))
-        .collect()
 }
 
 fn seed_of(doc: &JsonValue, key: &str) -> Result<u64, String> {
