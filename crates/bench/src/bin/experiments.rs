@@ -28,37 +28,34 @@
 //! cores); artifacts are byte-identical at any worker count.
 
 use victima_bench::cli::{
-    fail, flag_value, out, parse_config, parse_format, parse_jobs, parse_sampling, parse_scale, parse_u64,
-    take_flag, Format,
+    err, fail, flag_value, out, parse_config, parse_format, parse_jobs, parse_sampling, parse_scale,
+    parse_u64, take_flag, Format,
 };
 use victima_bench::{experiments, ExpCtx, ExperimentReport};
 
 fn usage() -> ! {
-    eprintln!("usage: experiments [--quick] [--jobs N] [--scale tiny|small|full|paper] [--sampling U:D[:W]]");
-    eprintln!(
-        "                   [--format text|json|jsonl|csv|md] [--out DIR] [--exp IDS] <all|calibrate|...> ..."
-    );
-    eprintln!("       experiments --check [ids...]          (pinned profile vs committed baselines)");
-    eprintln!("       experiments --save-baselines [ids...] (regenerate committed baselines)");
-    eprintln!("       experiments --list");
-    eprintln!("       experiments trace record <WORKLOAD> --out FILE");
-    eprintln!("                   [--config NAME] [--scale tiny|small|full|paper] [--seed N] [--warmup N] [--instr N]");
-    eprintln!("       experiments trace replay <FILE> [--config NAME] [--jobs N] [--format F] [--out DIR]");
-    eprintln!("       experiments trace info <FILE> [--format F] [--out DIR]");
-    eprintln!("       experiments ckpt save <WORKLOAD> --out FILE");
-    eprintln!("                   [--config NAME] [--scale tiny|small|full|paper] [--seed N] [--warmup N]");
-    eprintln!("       experiments ckpt resume <FILE> [--instr N] [--format F] [--out DIR]");
-    eprintln!("       experiments ckpt info <FILE> [--format F] [--out DIR]");
-    eprintln!("       experiments serve [--dir DIR] [--port N] [--workers N] [--deadline-ms N]");
-    eprintln!("                   [--retries N] [--cache-max-bytes N] [--faults PLAN]");
-    eprintln!(
-        "       experiments submit [--dir DIR] [--local] [--watch] [--configs a,b] [--workloads X,Y|all]"
-    );
-    eprintln!("                   [--scale S] [--warmup N] [--instr N] [--seed N] [--sampling U:D[:W]]");
-    eprintln!("                   [--out FILE] [--attempts N]");
-    eprintln!("       experiments status [--dir DIR] [--metrics] [--shutdown]");
-    eprintln!("       experiments profile [ids...] [--jobs N] [--scale S] [--format F] [--out FILE]");
-    std::process::exit(2);
+    fail(concat!(
+        "usage: experiments [--quick] [--jobs N] [--scale tiny|small|full|paper] [--sampling U:D[:W]]\n",
+        "                   [--format text|json|jsonl|csv|md] [--out DIR] [--exp IDS] <all|calibrate|...> ...\n",
+        "       experiments --check [ids...]          (pinned profile vs committed baselines)\n",
+        "       experiments --save-baselines [ids...] (regenerate committed baselines)\n",
+        "       experiments --list\n",
+        "       experiments trace record <WORKLOAD> --out FILE\n",
+        "                   [--config NAME] [--scale tiny|small|full|paper] [--seed N] [--warmup N] [--instr N]\n",
+        "       experiments trace replay <FILE> [--config NAME] [--jobs N] [--format F] [--out DIR]\n",
+        "       experiments trace info <FILE> [--format F] [--out DIR]\n",
+        "       experiments ckpt save <WORKLOAD> --out FILE\n",
+        "                   [--config NAME] [--scale tiny|small|full|paper] [--seed N] [--warmup N]\n",
+        "       experiments ckpt resume <FILE> [--instr N] [--format F] [--out DIR]\n",
+        "       experiments ckpt info <FILE> [--format F] [--out DIR]\n",
+        "       experiments serve [--dir DIR] [--port N] [--workers N] [--deadline-ms N]\n",
+        "                   [--retries N] [--cache-max-bytes N] [--faults PLAN]\n",
+        "       experiments submit [--dir DIR] [--local] [--watch] [--configs a,b] [--workloads X,Y|all]\n",
+        "                   [--scale S] [--warmup N] [--instr N] [--seed N] [--sampling U:D[:W]]\n",
+        "                   [--out FILE] [--attempts N]\n",
+        "       experiments status [--dir DIR] [--metrics] [--shutdown]\n",
+        "       experiments profile [ids...] [--jobs N] [--scale S] [--format F] [--out FILE]",
+    ))
 }
 
 /// Committed baseline directory (resolved at compile time; the binary is
@@ -135,7 +132,7 @@ fn main() {
         ids.extend(list.split(',').map(str::to_owned));
     }
     if let Some(unknown) = args.iter().find(|a| a.starts_with('-') && *a != "-") {
-        eprintln!("unknown flag {unknown}");
+        err(format!("unknown flag {unknown}"));
         usage();
     }
     ids.extend(args.iter().cloned());
@@ -187,7 +184,7 @@ fn main() {
     } else {
         emit(&reports, format, out_dir.as_deref())
     };
-    eprintln!("[experiments completed in {:.1}s]", start.elapsed().as_secs_f64());
+    err(format!("[experiments completed in {:.1}s]", start.elapsed().as_secs_f64()));
     std::process::exit(status);
 }
 
@@ -207,35 +204,35 @@ fn emit(reports: &[ExperimentReport], format: Format, dir: Option<&std::path::Pa
         return 0;
     };
     if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
+        err(format!("cannot create {}: {e}", dir.display()));
         return 1;
     }
     for r in reports {
         let path = dir.join(format!("{}.{}", r.id, format.extension()));
         if let Err(e) = std::fs::write(&path, format.render(r)) {
-            eprintln!("cannot write {}: {e}", path.display());
+            err(format!("cannot write {}: {e}", path.display()));
             return 1;
         }
     }
     let combined = dir.join("REPORT.md");
     if let Err(e) = std::fs::write(&combined, report::markdown::render_combined(reports)) {
-        eprintln!("cannot write {}: {e}", combined.display());
+        err(format!("cannot write {}: {e}", combined.display()));
         return 1;
     }
-    eprintln!("[wrote {} artifact(s) + REPORT.md to {}]", reports.len(), dir.display());
+    err(format!("[wrote {} artifact(s) + REPORT.md to {}]", reports.len(), dir.display()));
     0
 }
 
 /// Regenerates the committed baselines (one JSON per experiment).
 fn write_baselines(reports: &[ExperimentReport]) -> i32 {
     if let Err(e) = std::fs::create_dir_all(BASELINE_DIR) {
-        eprintln!("cannot create {BASELINE_DIR}: {e}");
+        err(format!("cannot create {BASELINE_DIR}: {e}"));
         return 1;
     }
     for r in reports {
         let path = std::path::Path::new(BASELINE_DIR).join(format!("{}.json", r.id));
         if let Err(e) = std::fs::write(&path, report::json::to_json(r)) {
-            eprintln!("cannot write {}: {e}", path.display());
+            err(format!("cannot write {}: {e}", path.display()));
             return 1;
         }
         out(&format!("baseline saved: {}\n", path.display()));
@@ -311,7 +308,7 @@ fn profile_cli(mut args: Vec<String>) -> i32 {
         .map(std::path::PathBuf::from)
         .unwrap_or_else(victima_bench::profile::artifact_path);
     if let Some(unknown) = args.iter().find(|a| a.starts_with('-')) {
-        eprintln!("profile: unknown flag {unknown}");
+        err(format!("profile: unknown flag {unknown}"));
         usage();
     }
     let ids: Vec<&str> =
@@ -328,20 +325,20 @@ fn profile_cli(mut args: Vec<String>) -> i32 {
     match victima_bench::profile::profile_report(&ctx, &ids) {
         Ok(r) => {
             if let Err(e) = std::fs::write(&path, report::json::to_json(&r)) {
-                eprintln!("cannot write {}: {e}", path.display());
+                err(format!("cannot write {}: {e}", path.display()));
                 return 1;
             }
             out(&format.render(&r));
-            eprintln!(
+            err(format!(
                 "[profiled {} experiment(s) in {:.1}s; artifact at {}]",
                 ids.len(),
                 start.elapsed().as_secs_f64(),
                 path.display()
-            );
+            ));
             0
         }
         Err(e) => {
-            eprintln!("profile failed: {e}");
+            err(format!("profile failed: {e}"));
             2
         }
     }
@@ -376,11 +373,11 @@ fn trace_cli(mut args: Vec<String>) -> i32 {
             let instr = parse_u64(&mut args, "--instr").unwrap_or(TRACE_INSTR);
             let scale = parse_scale(&mut args).unwrap_or(workloads::Scale::Tiny);
             let Some(path) = out_path else {
-                eprintln!("trace record needs --out FILE");
+                err("trace record needs --out FILE");
                 return 2;
             };
             let [workload] = args.as_slice() else {
-                eprintln!("trace record takes exactly one workload name");
+                err("trace record takes exactly one workload name");
                 return 2;
             };
             match victima_bench::trace::record(workload, &cfg, scale, seed, warmup, instr, &path) {
@@ -398,14 +395,14 @@ fn trace_cli(mut args: Vec<String>) -> i32 {
                     0
                 }
                 Err(e) => {
-                    eprintln!("trace record failed: {e}");
+                    err(format!("trace record failed: {e}"));
                     1
                 }
             }
         }
         "replay" | "info" => {
             let [file] = args.as_slice() else {
-                eprintln!("trace {sub} takes exactly one trace file");
+                err(format!("trace {sub} takes exactly one trace file"));
                 return 2;
             };
             let path = std::path::Path::new(file);
@@ -417,7 +414,7 @@ fn trace_cli(mut args: Vec<String>) -> i32 {
             match report {
                 Ok(r) => emit(&[r], format, out_path.as_deref()),
                 Err(e) => {
-                    eprintln!("trace {sub} failed: {e}");
+                    err(format!("trace {sub} failed: {e}"));
                     1
                 }
             }
@@ -442,11 +439,11 @@ fn ckpt_cli(mut args: Vec<String>) -> i32 {
             let seed = parse_u64(&mut args, "--seed").unwrap_or(vm_types::DEFAULT_SEED);
             let warmup = parse_u64(&mut args, "--warmup").unwrap_or(scale.default_budget().0);
             let Some(path) = out_path else {
-                eprintln!("ckpt save needs --out FILE");
+                err("ckpt save needs --out FILE");
                 return 2;
             };
             let [workload] = args.as_slice() else {
-                eprintln!("ckpt save takes exactly one workload name");
+                err("ckpt save takes exactly one workload name");
                 return 2;
             };
             match victima_bench::ckpt::save(workload, &cfg, scale, seed, warmup, &path) {
@@ -466,7 +463,7 @@ fn ckpt_cli(mut args: Vec<String>) -> i32 {
                     0
                 }
                 Err(e) => {
-                    eprintln!("ckpt save failed: {e}");
+                    err(format!("ckpt save failed: {e}"));
                     1
                 }
             }
@@ -474,7 +471,7 @@ fn ckpt_cli(mut args: Vec<String>) -> i32 {
         "resume" | "info" => {
             let instr = parse_u64(&mut args, "--instr");
             let [file] = args.as_slice() else {
-                eprintln!("ckpt {sub} takes exactly one checkpoint file");
+                err(format!("ckpt {sub} takes exactly one checkpoint file"));
                 return 2;
             };
             let path = std::path::Path::new(file);
@@ -486,7 +483,7 @@ fn ckpt_cli(mut args: Vec<String>) -> i32 {
             match report {
                 Ok(r) => emit(&[r], format, out_path.as_deref()),
                 Err(e) => {
-                    eprintln!("ckpt {sub} failed: {e}");
+                    err(format!("ckpt {sub} failed: {e}"));
                     1
                 }
             }

@@ -1,19 +1,29 @@
-//! Flag parsing and stdout for every `experiments` subcommand.
+//! Flag parsing, stdout and stderr for every `experiments` subcommand.
 //!
 //! Each parser removes its flag (and the flag's value) from `args`, so
 //! what is left afterwards is positionals and unknown flags. A flag
 //! without a value, or with a malformed one, prints one line to stderr
-//! and exits with status 2, the usage-error status.
+//! and exits with status 2, the usage-error status. Every stdout write
+//! goes through [`out`] and every stderr line through [`err`], so a
+//! closed pipe on either never panics.
 
 use report::ExperimentReport;
 use sim::{SamplingConfig, SystemConfig};
+use std::fmt::Display;
 use std::io::{ErrorKind, Write};
 use workloads::Scale;
 
 /// Prints `msg` to stderr and exits 2.
 pub fn fail(msg: &str) -> ! {
-    eprintln!("{msg}");
+    err(msg);
     std::process::exit(2);
+}
+
+/// Writes `line` and a newline to stderr. A write error (a closed pipe,
+/// say) is dropped: there is nowhere left to report it, and `eprintln!`
+/// would panic there instead.
+pub fn err(line: impl Display) {
+    let _ = writeln!(std::io::stderr().lock(), "{line}");
 }
 
 /// Removes `flag` and its value from `args`; `None` when `flag` is absent.
@@ -141,7 +151,7 @@ pub fn out(text: &str) {
         if e.kind() == ErrorKind::BrokenPipe {
             std::process::exit(141);
         }
-        eprintln!("cannot write to stdout: {e}");
+        err(format!("cannot write to stdout: {e}"));
         std::process::exit(1);
     }
 }

@@ -28,9 +28,8 @@ pub fn run(ctx: &ExpCtx) -> Vec<ExperimentReport> {
     let mut mpkis = Vec::new();
     let mut shares = Vec::new();
     let mut ptw_means = Vec::new();
-    let timing = cfg.timing;
     for (name, s) in WORKLOAD_NAMES.iter().zip(&stats) {
-        let share = s.translation_cycle_share(timing.t_expose, timing.d_expose);
+        let share = s.translation_cycle_share(cfg.timing.t_expose);
         mpkis.push(s.l2_tlb_mpki());
         shares.push(share);
         if s.ptw_latency_mean > 0.0 {

@@ -3,7 +3,7 @@
 //! stream on stdout). All actual service machinery lives in the `svc`
 //! crate; this module only translates flags into [`svc`] calls.
 
-use crate::cli::{fail, flag_value, out, parse_sampling, parse_scale, parse_u64, take_flag};
+use crate::cli::{err, fail, flag_value, out, parse_sampling, parse_scale, parse_u64, take_flag};
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -56,11 +56,11 @@ pub fn serve_cli(mut args: Vec<String>) -> i32 {
     let exe = match std::env::current_exe() {
         Ok(exe) => exe,
         Err(e) => {
-            eprintln!("serve: cannot locate the experiments binary for worker re-exec: {e}");
+            err(format!("serve: cannot locate the experiments binary for worker re-exec: {e}"));
             return 1;
         }
     };
-    eprintln!("svc: serving {} with {workers} worker process(es)", dir.display());
+    err(format!("svc: serving {} with {workers} worker process(es)", dir.display()));
     let cfg = DaemonConfig {
         workers,
         port,
@@ -73,7 +73,7 @@ pub fn serve_cli(mut args: Vec<String>) -> i32 {
     match svc::run(cfg) {
         Ok(()) => 0,
         Err(e) => {
-            eprintln!("serve failed: {e}");
+            err(format!("serve failed: {e}"));
             1
         }
     }
@@ -141,7 +141,7 @@ pub fn submit_cli(mut args: Vec<String>) -> i32 {
         out(&format!("{line}\n"));
         if let Some(f) = out_file.as_mut() {
             if let Err(e) = writeln!(f, "{line}") {
-                eprintln!("submit: write to --out failed: {e}");
+                err(format!("submit: write to --out failed: {e}"));
                 std::process::exit(1);
             }
         }
@@ -169,7 +169,7 @@ pub fn submit_cli(mut args: Vec<String>) -> i32 {
             _ => return,
         };
         done += 1;
-        eprintln!("[watch {done}/{total}] {what}");
+        err(format!("[watch {done}/{total}] {what}"));
     };
 
     let summary = if local {
@@ -178,7 +178,7 @@ pub fn submit_cli(mut args: Vec<String>) -> i32 {
             if watch {
                 match svc::parse_stream_line(line) {
                     Ok(parsed) => watch_note(&parsed),
-                    Err(e) => eprintln!("[watch] unparseable line: {e}"),
+                    Err(e) => err(format!("[watch] unparseable line: {e}")),
                 }
             }
         })
@@ -195,14 +195,14 @@ pub fn submit_cli(mut args: Vec<String>) -> i32 {
             } else {
                 String::new()
             };
-            eprintln!(
+            err(format!(
                 "[{}: {} spec(s) — {} result(s), {} cached, {} error(s){reconnects}]",
                 s.job, s.specs, s.results, s.cached, s.errors
-            );
+            ));
             i32::from(s.errors > 0)
         }
         Err(e) => {
-            eprintln!("submit failed: {e}");
+            err(format!("submit failed: {e}"));
             1
         }
     }
@@ -222,7 +222,7 @@ pub fn status_cli(mut args: Vec<String>) -> i32 {
         return match svc::metrics(&dir) {
             Ok(m) => {
                 out(&format!("{}\n", m.to_line()));
-                eprintln!(
+                err(format!(
                     "[up {:.1}s: queue {}, {} worker(s) at {:.0}% busy, latency mean {:.1} ms over {} spec(s), cache hit ratio {:.0}% ({} hit/{} miss), {} retried, {} timed out, {} failed, {} quarantined, {} respawn(s)]",
                     m.uptime_ms as f64 / 1_000.0,
                     m.queue_depth,
@@ -238,11 +238,11 @@ pub fn status_cli(mut args: Vec<String>) -> i32 {
                     m.failures,
                     m.quarantined,
                     m.worker_respawns
-                );
+                ));
                 0
             }
             Err(e) => {
-                eprintln!("metrics failed: {e}");
+                err(format!("metrics failed: {e}"));
                 1
             }
         };
@@ -250,11 +250,11 @@ pub fn status_cli(mut args: Vec<String>) -> i32 {
     if stop {
         return match svc::shutdown(&dir) {
             Ok(()) => {
-                eprintln!("[daemon at {} shut down]", dir.display());
+                err(format!("[daemon at {} shut down]", dir.display()));
                 0
             }
             Err(e) => {
-                eprintln!("shutdown failed: {e}");
+                err(format!("shutdown failed: {e}"));
                 1
             }
         };
@@ -262,7 +262,7 @@ pub fn status_cli(mut args: Vec<String>) -> i32 {
     match svc::status(&dir) {
         Ok(info) => {
             out(&format!("{}\n", info.to_line()));
-            eprintln!(
+            err(format!(
                 "[{} worker(s), jobs {}/{} done, specs {} done ({} simulated, {} cached, {} failed, {} timed out, {} retried), cache {} entries/{} B ({} quarantined, {} evicted), {} journal record(s) skipped]",
                 info.workers,
                 info.jobs_completed,
@@ -278,11 +278,11 @@ pub fn status_cli(mut args: Vec<String>) -> i32 {
                 info.cache_quarantined,
                 info.cache_evicted,
                 info.journal_skipped
-            );
+            ));
             0
         }
         Err(e) => {
-            eprintln!("status failed: {e}");
+            err(format!("status failed: {e}"));
             1
         }
     }

@@ -111,3 +111,18 @@ fn closed_stdout_pipe_ends_quietly() {
     assert_ne!(out.status.code(), Some(101), "exited like a panic: {stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn closed_stderr_pipe_keeps_the_usage_error_status() {
+    let (reader, writer) = std::io::pipe().expect("create pipe");
+    // Closed before the spawn, so the error line cannot be written.
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["--exp", "nosuch"])
+        .stdout(std::process::Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("spawn binary");
+    // A panic on the failed write would exit 101.
+    assert_eq!(status.code(), Some(2));
+}

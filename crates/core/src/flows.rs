@@ -45,31 +45,6 @@ impl Default for VictimaConfig {
     }
 }
 
-/// Runtime statistics of the engine.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct VictimaStats {
-    /// Translation-path probes (pairs of parallel lookups count once).
-    pub probes: u64,
-    /// Probes that hit a TLB block (translation served from L2 cache).
-    pub probe_hits: u64,
-    /// ... of which under a 2MB tag.
-    pub probe_hits_2m: u64,
-    /// Blocks inserted via the L2-TLB-miss flow.
-    pub inserts_on_miss: u64,
-    /// Blocks inserted via the eviction flow.
-    pub inserts_on_eviction: u64,
-    /// Background walks requested by the eviction flow.
-    pub background_walks: u64,
-    /// Transformations that found and re-tagged the data copy in place.
-    pub transforms_in_place: u64,
-    /// Insertions suppressed because the block was already present.
-    pub already_present: u64,
-    /// Insertions suppressed by a negative PTW-CP prediction.
-    pub predictor_rejections: u64,
-    /// TLB blocks invalidated by maintenance operations.
-    pub invalidated_blocks: u64,
-}
-
 /// The Victima engine. One instance per core; it owns the PTW cost
 /// predictor and operates on the L2 cache passed into each call.
 #[derive(Clone, Debug, Default)]
@@ -78,8 +53,6 @@ pub struct Victima {
     pub cfg: VictimaConfig,
     /// The PTW cost predictor.
     pub predictor: PtwCostPredictor,
-    /// Statistics.
-    pub stats: VictimaStats,
 }
 
 /// Outcome of a successful translation-path probe.
@@ -92,11 +65,7 @@ pub struct ProbeHit {
 impl Victima {
     /// Creates an engine with the given configuration.
     pub fn new(cfg: VictimaConfig) -> Self {
-        Self {
-            predictor: PtwCostPredictor::with_thresholds(cfg.thresholds),
-            cfg,
-            stats: VictimaStats::default(),
-        }
+        Self { predictor: PtwCostPredictor::with_thresholds(cfg.thresholds), cfg }
     }
 
     /// The Fig. 17 probe: two parallel typed lookups (4KB and 2MB page
@@ -111,15 +80,10 @@ impl Victima {
         ctx: &ReplacementCtx,
     ) -> Option<ProbeHit> {
         debug_assert!(kind.is_translation());
-        self.stats.probes += 1;
         let sets = l2.num_sets();
         for size in PageSize::ALL {
             let (set, tag) = tlb_block_index(va, size, sets);
             if l2.probe_translation(set, tag, kind, asid, size, ctx) {
-                self.stats.probe_hits += 1;
-                if size == PageSize::Size2M {
-                    self.stats.probe_hits_2m += 1;
-                }
                 return Some(ProbeHit { size });
             }
         }
@@ -152,14 +116,10 @@ impl Victima {
         walk: &WalkOutcome,
         ctx: &ReplacementCtx,
     ) -> bool {
-        if !self.cfg.insert_on_miss {
-            return false;
-        }
-        let inserted = self.transform(l2, va, asid, kind, walk, ctx);
-        if inserted {
-            self.stats.inserts_on_miss += 1;
-        }
-        inserted
+        let (freq, cost) = (walk.leaf_pte.ptw_freq(), walk.leaf_pte.ptw_cost());
+        self.cfg.insert_on_miss
+            && self.predictor.should_insert(freq, cost, ctx)
+            && transform(l2, va, asid, kind, walk, ctx)
     }
 
     /// First half of the eviction flow: should the MMU issue a background
@@ -178,19 +138,9 @@ impl Victima {
         cost: u8,
         ctx: &ReplacementCtx,
     ) -> bool {
-        if !self.cfg.insert_on_eviction {
-            return false;
-        }
-        if !self.predictor.should_insert(freq, cost, ctx) {
-            self.stats.predictor_rejections += 1;
-            return false;
-        }
-        if self.block_present(l2, va, asid, kind, size) {
-            self.stats.already_present += 1;
-            return false;
-        }
-        self.stats.background_walks += 1;
-        true
+        self.cfg.insert_on_eviction
+            && self.predictor.should_insert(freq, cost, ctx)
+            && !self.block_present(l2, va, asid, kind, size)
     }
 
     /// Second half of the eviction flow: the caller performed the
@@ -206,61 +156,17 @@ impl Victima {
     ) -> bool {
         // The predictor already approved this insertion in
         // `wants_eviction_insert`; transform unconditionally.
-        let (set, tag) = tlb_block_index(va, walk.page_size, l2.num_sets());
-        if l2.contains_translation(set, tag, kind, asid, walk.page_size) {
-            self.stats.already_present += 1;
-            return false;
-        }
-        if l2.invalidate_data(walk.leaf_pte_paddr) {
-            self.stats.transforms_in_place += 1;
-        }
-        l2.fill_translation(set, tag, kind, asid, walk.page_size, ctx);
-        self.stats.inserts_on_eviction += 1;
-        true
-    }
-
-    /// Shared transform: PTW-CP gate + re-tag of the leaf PTE cluster.
-    fn transform(
-        &mut self,
-        l2: &mut Cache,
-        va: VirtAddr,
-        asid: Asid,
-        kind: BlockKind,
-        walk: &WalkOutcome,
-        ctx: &ReplacementCtx,
-    ) -> bool {
-        let (freq, cost) = (walk.leaf_pte.ptw_freq(), walk.leaf_pte.ptw_cost());
-        if !self.predictor.should_insert(freq, cost, ctx) {
-            self.stats.predictor_rejections += 1;
-            return false;
-        }
-        let (set, tag) = tlb_block_index(va, walk.page_size, l2.num_sets());
-        if l2.contains_translation(set, tag, kind, asid, walk.page_size) {
-            self.stats.already_present += 1;
-            return false;
-        }
-        // Transform: drop the PA-indexed data copy of the cluster (it was
-        // just fetched into the L2 by the walk) and insert the VA-indexed
-        // TLB block.
-        if l2.invalidate_data(walk.leaf_pte_paddr) {
-            self.stats.transforms_in_place += 1;
-        }
-        l2.fill_translation(set, tag, kind, asid, walk.page_size, ctx);
-        true
+        transform(l2, va, asid, kind, walk, ctx)
     }
 
     /// Sec. 6.1(i): invalidate all TLB blocks (full TLB flush).
     pub fn flush_all(&mut self, l2: &mut Cache) -> usize {
-        let n = l2.invalidate_translation_blocks(|_| true);
-        self.stats.invalidated_blocks += n as u64;
-        n
+        l2.invalidate_translation_blocks(|_| true)
     }
 
     /// Sec. 6.1(ii): invalidate all TLB blocks of one address space.
     pub fn flush_asid(&mut self, l2: &mut Cache, asid: Asid) -> usize {
-        let n = l2.invalidate_translation_blocks(|b| b.asid == asid);
-        self.stats.invalidated_blocks += n as u64;
-        n
+        l2.invalidate_translation_blocks(|b| b.asid == asid)
     }
 
     /// Sec. 6.2(i): single-entry shootdown. Invalidating one TLB entry
@@ -271,10 +177,7 @@ impl Victima {
         for kind in [BlockKind::Tlb, BlockKind::NestedTlb] {
             for size in PageSize::ALL {
                 let (set, tag) = tlb_block_index(va, size, sets);
-                if l2.invalidate_translation_at(set, tag, kind, asid, size) {
-                    self.stats.invalidated_blocks += 1;
-                    any = true;
-                }
+                any |= l2.invalidate_translation_at(set, tag, kind, asid, size);
             }
         }
         any
@@ -298,6 +201,27 @@ impl Victima {
     pub fn reach_bytes(&self, l2: &Cache) -> u64 {
         l2.translation_block_count() as u64 * crate::tlb_block::block_coverage_bytes(PageSize::Size4K)
     }
+}
+
+/// Transforms the leaf PTE cluster `walk` fetched into a TLB block:
+/// unless the block is already resident, drops the cluster's PA-indexed
+/// data copy (the walk just brought it into the L2) and inserts the
+/// VA-indexed TLB block. Returns whether a block was inserted.
+fn transform(
+    l2: &mut Cache,
+    va: VirtAddr,
+    asid: Asid,
+    kind: BlockKind,
+    walk: &WalkOutcome,
+    ctx: &ReplacementCtx,
+) -> bool {
+    let (set, tag) = tlb_block_index(va, walk.page_size, l2.num_sets());
+    if l2.contains_translation(set, tag, kind, asid, walk.page_size) {
+        return false;
+    }
+    l2.invalidate_data(walk.leaf_pte_paddr);
+    l2.fill_translation(set, tag, kind, asid, walk.page_size, ctx);
+    true
 }
 
 #[cfg(test)]
@@ -353,7 +277,6 @@ mod tests {
         walk.leaf_pte = page_table::Pte::leaf(walk.frame, walk.page_size);
         let mut v = Victima::default();
         assert!(!v.insert_after_walk(&mut l2, va, Asid::new(1), BlockKind::Tlb, &walk, &PRESSURE));
-        assert_eq!(v.stats.predictor_rejections, 1);
         assert_eq!(l2.translation_block_count(), 0);
     }
 
@@ -378,7 +301,6 @@ mod tests {
         let mut v = Victima::default();
         assert!(v.insert_after_walk(&mut l2, va, Asid::new(1), BlockKind::Tlb, &walk, &PRESSURE));
         assert!(!l2.contains_data(walk.leaf_pte_paddr), "data copy must be gone");
-        assert_eq!(v.stats.transforms_in_place, 1);
         let _ = &mut hier;
     }
 
@@ -389,7 +311,6 @@ mod tests {
         let mut v = Victima::default();
         assert!(v.insert_after_walk(&mut l2, va, Asid::new(1), BlockKind::Tlb, &walk, &PRESSURE));
         assert!(!v.insert_after_walk(&mut l2, va, Asid::new(1), BlockKind::Tlb, &walk, &PRESSURE));
-        assert_eq!(v.stats.already_present, 1);
         assert_eq!(l2.translation_block_count(), 1);
     }
 
@@ -401,8 +322,10 @@ mod tests {
         let a = Asid::new(1);
         // Positive counters → wants a background walk.
         assert!(v.wants_eviction_insert(&l2, va, a, BlockKind::Tlb, PageSize::Size4K, 2, 3, &PRESSURE));
-        assert_eq!(v.stats.background_walks, 1);
         assert!(v.insert_after_eviction_walk(&mut l2, va, a, BlockKind::Tlb, &walk, &PRESSURE));
+        assert_eq!(l2.translation_block_count(), 1);
+        // A second transform of a resident block is suppressed.
+        assert!(!v.insert_after_eviction_walk(&mut l2, va, a, BlockKind::Tlb, &walk, &PRESSURE));
         // Now present → second eviction of the same page does nothing.
         assert!(!v.wants_eviction_insert(&l2, va, a, BlockKind::Tlb, PageSize::Size4K, 2, 3, &PRESSURE));
         // Zero counters → predictor rejects.
@@ -438,7 +361,6 @@ mod tests {
         let hit =
             v.probe(&mut l2, VirtAddr::new(0x8000_0000 + (5 << 20)), Asid::new(1), BlockKind::Tlb, &PRESSURE);
         assert_eq!(hit.unwrap().size, PageSize::Size2M);
-        assert_eq!(v.stats.probe_hits_2m, 1);
     }
 
     #[test]

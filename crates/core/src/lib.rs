@@ -41,6 +41,6 @@ pub mod policy;
 pub mod predictor;
 pub mod tlb_block;
 
-pub use flows::{Victima, VictimaConfig, VictimaStats};
+pub use flows::{Victima, VictimaConfig};
 pub use metrics::ConfusionMatrix;
 pub use predictor::PtwCostPredictor;

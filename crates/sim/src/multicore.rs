@@ -280,9 +280,7 @@ impl MultiCoreSystem {
         };
         self.stats.migrations += 1;
         for core in &mut self.cores {
-            let before = core.invalidation_count();
-            core.tlb_shootdown_asid(va, asid);
-            self.stats.shootdown_invalidations += core.invalidation_count() - before;
+            self.stats.shootdown_invalidations += core.tlb_shootdown_asid(va, asid);
         }
         new_pa
     }

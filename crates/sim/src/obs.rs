@@ -2,17 +2,19 @@
 //! engine's enablement knob.
 //!
 //! The metrics are a view over the measured window, not a second set of
-//! counters. The hot path counts each event once, in
-//! [`crate::stats::SimStats`], a component's own stats or the
-//! always-on `WalkProfile`; [`crate::system::System::finalize_stats`]
-//! reads those counts into one table of readings (`window_readings`)
-//! and folds it into the [`SimMetrics`] totals. So `sim.*` covers
-//! exactly the instructions `SimStats` covers — warm-up and the
-//! sampling loop's warm windows excluded — in every exec mode, and a
-//! disabled run pays nothing beyond the walk profile's few adds per
-//! walk. Counters and histograms sum over finalized windows; gauges
-//! are read at finalize and keep their high-water mark across windows
-//! (workloads allocate no frames after set-up).
+//! counters. The translation path counts each event once, in
+//! [`crate::stats::SimStats`] or the always-on `WalkProfile`: the TLBs,
+//! walkers, POM-TLB and Victima engine keep no counters of their own,
+//! and cache events come from `mem_sim::CacheStats`.
+//! [`crate::system::System::finalize_stats`] reads those counts into one
+//! table of readings (`window_readings`) and folds it into the
+//! [`SimMetrics`] totals. So `sim.*` covers exactly the instructions
+//! `SimStats` covers — warm-up and the sampling loop's warm windows
+//! excluded — in every exec mode, and a disabled run pays nothing beyond
+//! the walk profile's few adds per walk. Counters and histograms sum over
+//! finalized windows; gauges are read at finalize and keep their
+//! high-water mark across windows (workloads allocate no frames after
+//! set-up).
 //!
 //! [`crate::stats::SimStats`] remains the sole source of `--check`
 //! truth; nothing here feeds a fingerprint or a baseline artifact.
@@ -63,10 +65,16 @@ impl ObsMode {
     }
 }
 
-/// Walk distributions that [`crate::stats::SimStats`] does not keep,
-/// recorded unconditionally on the miss path and reset with the stats.
+/// Translation-path counts and walk distributions that
+/// [`crate::stats::SimStats`] does not keep, recorded unconditionally on
+/// the miss path and reset with the stats.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WalkProfile {
+    /// I-TLB misses.
+    pub itlb_misses: u64,
+    /// One-dimensional demand walks that touched DRAM (the numerator of
+    /// [`crate::stats::SimStats::ptw_dram_fraction`]).
+    pub dram_walks: u64,
     /// Demand walks largely served by the page-walk caches.
     pub pwc_hits: u64,
     /// Demand walks that touched the full radix depth.
@@ -97,8 +105,7 @@ impl SimMetrics {
 }
 
 /// The window's readings: one row per `sim.*` metric, read off
-/// `SimStats`, the I-TLB and cache stats, the walk profile and the
-/// frame pool. Call after the window's stats are final.
+/// `SimStats`, the walk profile, the cache stats and the frame pool. Call after the window's stats are final.
 pub(crate) fn window_readings(sys: &System) -> Vec<(String, MetricValue)> {
     let s = &sys.stats;
     let w = &sys.walks;
@@ -107,7 +114,7 @@ pub(crate) fn window_readings(sys: &System) -> Vec<(String, MetricValue)> {
         ("sim.tlb.l1.miss", s.l1_tlb_misses),
         ("sim.tlb.l2.hit", s.l2_tlb_hits),
         ("sim.tlb.l2.miss", s.l2_tlb_misses),
-        ("sim.tlb.itlb.miss", sys.itlb.stats.misses),
+        ("sim.tlb.itlb.miss", w.itlb_misses),
         ("sim.tlb.l3.hit", s.l3_tlb_hits),
         ("sim.victima.hit", s.victima_hits),
         ("sim.victima.insert", s.victima_inserts),

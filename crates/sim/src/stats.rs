@@ -191,16 +191,14 @@ impl SimStats {
         }
     }
 
-    /// Fraction of execution cycles spent on address translation
-    /// (exposure-adjusted share is computed by the caller; this is the
-    /// raw translation share of `translation + data + base`).
-    pub fn translation_cycle_share(&self, t_expose: f64, d_expose: f64) -> f64 {
-        let t = self.translation_cycles as f64 * t_expose;
+    /// Fraction of execution cycles spent on address translation: the
+    /// translation cycles the core exposes (scaled by `t_expose`) over
+    /// all cycles (0 when no cycles ran).
+    pub fn translation_cycle_share(&self, t_expose: f64) -> f64 {
         if self.cycles_f == 0.0 {
             0.0
         } else {
-            let _ = d_expose;
-            t / self.cycles_f
+            self.translation_cycles as f64 * t_expose / self.cycles_f
         }
     }
 

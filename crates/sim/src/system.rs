@@ -175,6 +175,40 @@ impl ProcessCtx {
         }
     }
 
+    /// Builds a virtualised process: a guest VM image with nested page
+    /// tables (and, for I-SP, a filled shadow table) over `host_bytes`
+    /// of host memory, with the code region and the workload's regions
+    /// mapped in the guest.
+    pub(crate) fn new_virt(
+        asid: Asid,
+        mut workload: Box<dyn Workload>,
+        host_bytes: u64,
+        seed: u64,
+        shadow: bool,
+    ) -> Self {
+        let specs = workload.region_specs();
+        let footprint: u64 = specs.iter().map(|s| s.bytes).sum();
+        // Guest-physical space: footprint plus table overheads and
+        // fragmentation-skip slack.
+        let guest_phys = footprint * 2 + (1 << 30);
+        // Hosts back VM memory with THP (EPT huge pages): 70% of the 2MB
+        // chunks of guest-physical space get a host 2MB page
+        // (calibrated; see EXPERIMENTS.md).
+        let mut nested = NestedMemory::new(asid, guest_phys, host_bytes, 0.7, seed, shadow);
+        let code = nested.map_small_region(256 << 10);
+        let bases: Vec<VirtAddr> =
+            specs.iter().map(|s| nested.map_region(s.bytes, s.huge_fraction).base).collect();
+        workload.init(&bases);
+        Self {
+            memory: Memory::Virt { nested: Box::new(nested) },
+            stream: WorkloadStream::new(workload),
+            code,
+            asid,
+            retired: 0,
+            cycles: 0.0,
+        }
+    }
+
     /// The workload name.
     pub fn workload_name(&self) -> &'static str {
         self.stream.name()
@@ -292,57 +326,26 @@ impl System {
     /// Builds a system: allocates physical memory, maps the workload's
     /// regions (and the virtualised image if configured), and wires up
     /// every component.
-    pub fn new(cfg: SystemConfig, mut workload: Box<dyn Workload>) -> Self {
+    pub fn new(cfg: SystemConfig, workload: Box<dyn Workload>) -> Self {
         let asid = Asid::new(1);
-
-        // Build the memory image and map regions.
-        let (proc, pom_base) = match cfg.mode {
+        // Build the memory image and map regions, then carve out the
+        // POM-TLB backing store (host memory when virtualised).
+        let (proc, pom) = match cfg.mode {
             ExecMode::Native => {
                 let alloc = Rc::new(RefCell::new(FrameAllocator::new(cfg.phys_mem_bytes, cfg.seed)));
                 let proc = ProcessCtx::new_native(asid, workload, &alloc, cfg.seed);
-                let pom_base = match &cfg.mechanism {
-                    TranslationMechanism::PomTlb(p) | TranslationMechanism::VictimaPom(_, p) => {
-                        Some(alloc.borrow_mut().alloc_contiguous(p.storage_bytes()))
-                    }
-                    _ => None,
-                };
-                (proc, pom_base)
+                let pom = pom_tlb(&cfg.mechanism, &mut alloc.borrow_mut());
+                (proc, pom)
             }
             ExecMode::VirtualizedNested | ExecMode::VirtualizedShadow => {
-                let specs = workload.region_specs();
-                let footprint: u64 = specs.iter().map(|s| s.bytes).sum();
-                // Guest-physical space: footprint plus table overheads and
-                // fragmentation-skip slack.
-                let guest_phys = footprint * 2 + (1 << 30);
-                // Hosts back VM memory with THP (EPT huge pages):
-                // 70% of the 2MB chunks of guest-physical space get a
-                // host 2MB page (calibrated; see EXPERIMENTS.md).
                 // Only I-SP walks the shadow table, so only it fills one.
                 let shadow = cfg.mode == ExecMode::VirtualizedShadow;
-                let mut nested =
-                    NestedMemory::new(asid, guest_phys, cfg.phys_mem_bytes, 0.7, cfg.seed, shadow);
-                let code = nested.map_small_region(256 << 10);
-                let bases: Vec<VirtAddr> =
-                    specs.iter().map(|s| nested.map_region(s.bytes, s.huge_fraction).base).collect();
-                let pom_base = match &cfg.mechanism {
-                    TranslationMechanism::PomTlb(p) | TranslationMechanism::VictimaPom(_, p) => {
-                        Some(nested.host_alloc.alloc_contiguous(p.storage_bytes()))
-                    }
-                    _ => None,
-                };
-                workload.init(&bases);
-                let proc = ProcessCtx {
-                    memory: Memory::Virt { nested: Box::new(nested) },
-                    stream: WorkloadStream::new(workload),
-                    code,
-                    asid,
-                    retired: 0,
-                    cycles: 0.0,
-                };
-                (proc, pom_base)
+                let mut proc = ProcessCtx::new_virt(asid, workload, cfg.phys_mem_bytes, cfg.seed, shadow);
+                let pom = pom_tlb(&cfg.mechanism, &mut proc.memory.nested().host_alloc);
+                (proc, pom)
             }
         };
-        Self::assemble(cfg, proc, pom_base, None)
+        Self::assemble(cfg, proc, pom, None)
     }
 
     /// Builds a core over an externally owned (shared) LLC, bound to a
@@ -356,20 +359,15 @@ impl System {
         alloc: &Rc<RefCell<FrameAllocator>>,
     ) -> Self {
         assert_eq!(cfg.mode, ExecMode::Native, "multi-core cores are native-mode");
-        let pom_base = match &cfg.mechanism {
-            TranslationMechanism::PomTlb(p) | TranslationMechanism::VictimaPom(_, p) => {
-                Some(alloc.borrow_mut().alloc_contiguous(p.storage_bytes()))
-            }
-            _ => None,
-        };
-        Self::assemble(cfg, proc, pom_base, Some(llc))
+        let pom = pom_tlb(&cfg.mechanism, &mut alloc.borrow_mut());
+        Self::assemble(cfg, proc, pom, Some(llc))
     }
 
     /// Wires every hardware component around a process.
     fn assemble(
         cfg: SystemConfig,
         proc: ProcessCtx,
-        pom_base: Option<PhysAddr>,
+        pom: Option<PomTlb>,
         llc: Option<Rc<RefCell<SharedLlc>>>,
     ) -> Self {
         let l2_policy = match &cfg.mechanism {
@@ -381,11 +379,6 @@ impl System {
         let hier = match llc {
             Some(llc) => Hierarchy::with_shared_llc(cfg.hierarchy.clone(), l2_policy, llc),
             None => Hierarchy::with_l2_policy(cfg.hierarchy.clone(), l2_policy),
-        };
-        let pom = match (&cfg.mechanism, pom_base) {
-            (TranslationMechanism::PomTlb(p), Some(base))
-            | (TranslationMechanism::VictimaPom(_, p), Some(base)) => Some(PomTlb::new(p.clone(), base)),
-            _ => None,
         };
         let victima = match &cfg.mechanism {
             TranslationMechanism::Victima(v)
@@ -579,8 +572,7 @@ impl System {
             // the probe-then-fill pair. PTE counters are frozen in
             // functional mode, so a refresh writes back an identical
             // payload and only touches the LRU stamp — exactly what a
-            // probe hit would do. Fill/eviction statistics are clobbered,
-            // but every measurement window starts with `reset_stats`.
+            // probe hit would do.
             let entry =
                 self.proc.memory.soft_entry(r.vaddr, asid, None).unwrap_or_else(|| {
                     panic!("page fault at {}: workload touched an unmapped page", r.vaddr)
@@ -657,27 +649,13 @@ impl System {
         std::mem::swap(&mut self.proc, other);
     }
 
-    /// Clears statistics on every component; cache/TLB contents stay warm.
+    /// Clears the run statistics, the walk profile and the cache stats;
+    /// cache/TLB contents stay warm.
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::default();
         self.hier.reset_stats();
-        self.itlb.reset_stats();
-        self.dtlb4k.reset_stats();
-        self.dtlb2m.reset_stats();
-        self.l2_tlb.reset_stats();
-        if let Some(l3) = &mut self.l3_tlb {
-            l3.reset_stats();
-        }
-        self.walker.reset_stats();
-        self.host_walker.reset_stats();
         self.walks = WalkProfile::default();
         self.epoch = EpochTracker::new();
-        if let Some(v) = &mut self.victima {
-            v.stats = Default::default();
-        }
-        if let Some(p) = &mut self.pom {
-            p.stats = Default::default();
-        }
     }
 
     /// Executes one memory reference through the full model.
@@ -740,6 +718,7 @@ impl System {
             Some(e) => (e.frame, 0),
             None => {
                 // Miss: L2 TLB, then walk. Code pages are always 4KB.
+                self.walks.itlb_misses += 1;
                 let mut lat = self.l2_tlb.latency();
                 let entry = match self.l2_tlb.probe(vpn, self.proc.asid, PageSize::Size4K) {
                     Some(e) => e,
@@ -998,8 +977,7 @@ impl System {
         }
 
         // POM-TLB lookup (two parallel per-size probes through the data
-        // hierarchy). `pom.stats` counts each probe's hit or miss, and
-        // `finalize_stats` copies those counts into `SimStats`.
+        // hierarchy); each probe counts as one hit or miss.
         if let Some(pom) = self.pom.as_mut() {
             let mut hit: Option<TlbEntry> = None;
             let mut pom_lat: Cycles = 0;
@@ -1008,9 +986,11 @@ impl System {
                 let r = self.hier.access(lk.line, false, MemClass::PomTlb, &ctx);
                 pom_lat = pom_lat.max(r.latency);
                 if let Some(frame) = lk.frame {
+                    self.stats.pom_hits += 1;
                     hit = Some(TlbEntry::new(va.vpn(size), asid, size, frame));
                     break;
                 }
+                self.stats.pom_misses += 1;
             }
             latency += pom_lat;
             components[0] += pom_lat;
@@ -1026,6 +1006,8 @@ impl System {
                     .walker
                     .walk(pt, va, asid, &mut self.hier, &ctx)
                     .unwrap_or_else(|| panic!("page fault at {va}: workload touched an unmapped page"));
+                self.stats.ptw_latency_hist.record(w.latency);
+                self.walks.dram_walks += u64::from(w.dram_touched);
                 (entry_from(va, asid, w.page_size, w.frame, w.leaf_pte), w, 0)
             }
             None => self.nested_walk(va, true),
@@ -1062,17 +1044,14 @@ impl System {
         MissResolution { entry, latency, components }
     }
 
-    /// Finalises aggregate statistics from component counters. Call once
-    /// after each measured window: with metrics enabled, this also folds
-    /// the window into the `sim.*` totals.
+    /// Finalises the derived statistics (PTW means, cache reuse). Call
+    /// once after each measured window: with metrics enabled, this also
+    /// folds the window into the `sim.*` totals.
     pub fn finalize_stats(&mut self) {
-        self.stats.ptw_latency_hist = self.walker.stats.latency_hist.clone();
-        self.stats.ptw_latency_mean = self.walker.stats.mean_latency();
-        self.stats.ptw_dram_fraction = if self.walker.stats.walks == 0 {
-            0.0
-        } else {
-            self.walker.stats.dram_walks as f64 / self.walker.stats.walks as f64
-        };
+        let walks = self.stats.ptw_latency_hist.count();
+        self.stats.ptw_latency_mean = self.stats.ptw_latency_hist.mean();
+        self.stats.ptw_dram_fraction =
+            if walks == 0 { 0.0 } else { self.walks.dram_walks as f64 / walks as f64 };
         self.stats.l2_data_reuse = self.hier.l2().stats.data_reuse;
         self.stats.l2_tlb_block_reuse = self.hier.l2().stats.tlb_reuse;
         // Eviction-time reuse alone under-counts the *hottest* TLB blocks:
@@ -1083,10 +1062,6 @@ impl System {
                 self.stats.l2_tlb_block_reuse.record(b.reuse as u64);
             }
         }
-        if let Some(p) = &self.pom {
-            self.stats.pom_hits = p.stats.hits;
-            self.stats.pom_misses = p.stats.misses;
-        }
         if let Some(mut m) = self.metrics.take() {
             obs::merge_snapshots(&mut m.totals, &window_readings(self));
             self.metrics = Some(m);
@@ -1095,23 +1070,27 @@ impl System {
 
     /// OS-initiated TLB shootdown for one page of the *resident* address
     /// space (Sec. 6.2): invalidates the page in every hardware TLB, the
-    /// POM-TLB and Victima's TLB blocks.
-    pub fn tlb_shootdown(&mut self, va: VirtAddr) {
-        self.tlb_shootdown_asid(va, self.proc.asid);
+    /// POM-TLB and Victima's TLB blocks. Returns the number of hardware
+    /// TLB entries dropped.
+    pub fn tlb_shootdown(&mut self, va: VirtAddr) -> u64 {
+        self.tlb_shootdown_asid(va, self.proc.asid)
     }
 
     /// Shootdown for an explicit address space — the inter-core IPI path:
     /// remote cores invalidate a page of a process that is *not* resident
-    /// on them (its entries may still be cached under its ASID).
-    pub fn tlb_shootdown_asid(&mut self, va: VirtAddr, asid: Asid) {
+    /// on them (its entries may still be cached under its ASID). Returns
+    /// the number of entries dropped from the I-TLB, the L1 D-TLBs and
+    /// the L2 and L3 TLBs.
+    pub fn tlb_shootdown_asid(&mut self, va: VirtAddr, asid: Asid) -> u64 {
+        let mut n = 0;
         for size in PageSize::ALL {
             let vpn = va.vpn(size);
-            self.itlb.invalidate(vpn, asid, size);
-            self.dtlb4k.invalidate(vpn, asid, size);
-            self.dtlb2m.invalidate(vpn, asid, size);
-            self.l2_tlb.invalidate(vpn, asid, size);
+            n += u64::from(self.itlb.invalidate(vpn, asid, size));
+            n += u64::from(self.dtlb4k.invalidate(vpn, asid, size));
+            n += u64::from(self.dtlb2m.invalidate(vpn, asid, size));
+            n += u64::from(self.l2_tlb.invalidate(vpn, asid, size));
             if let Some(l3) = self.l3_tlb.as_mut() {
-                l3.invalidate(vpn, asid, size);
+                n += u64::from(l3.invalidate(vpn, asid, size));
             }
             if let Some(p) = self.pom.as_mut() {
                 p.invalidate(vpn, asid, size);
@@ -1119,18 +1098,6 @@ impl System {
         }
         if let Some(v) = self.victima.as_mut() {
             v.shootdown(self.hier.l2_mut(), va, asid);
-        }
-    }
-
-    /// Total invalidations performed by this core's hardware TLBs so far
-    /// (shootdown accounting for the multi-core IPI protocol).
-    pub fn invalidation_count(&self) -> u64 {
-        let mut n = self.itlb.stats.invalidations
-            + self.dtlb4k.stats.invalidations
-            + self.dtlb2m.stats.invalidations
-            + self.l2_tlb.stats.invalidations;
-        if let Some(l3) = &self.l3_tlb {
-            n += l3.stats.invalidations;
         }
         n
     }
@@ -1182,6 +1149,17 @@ impl System {
     /// Panics if `va` is unmapped or the system is virtualised.
     pub fn migrate_page(&mut self, va: VirtAddr) -> PhysAddr {
         self.proc.migrate_page(va)
+    }
+}
+
+/// The POM-TLB `mechanism` calls for, if any, with its contiguous
+/// backing store carved out of `alloc`.
+fn pom_tlb(mechanism: &TranslationMechanism, alloc: &mut FrameAllocator) -> Option<PomTlb> {
+    match mechanism {
+        TranslationMechanism::PomTlb(p) | TranslationMechanism::VictimaPom(_, p) => {
+            Some(PomTlb::new(p.clone(), alloc.alloc_contiguous(p.storage_bytes())))
+        }
+        _ => None,
     }
 }
 

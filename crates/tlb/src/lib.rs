@@ -27,5 +27,5 @@ pub mod walker;
 pub use configs::MmuConfig;
 pub use pom::{PomTlb, PomTlbConfig};
 pub use pwc::PageWalkCaches;
-pub use tlb::{SetAssocTlb, TlbConfig, TlbEntry, TlbStats};
-pub use walker::{PageTableWalker, WalkOutcome, WalkerStats};
+pub use tlb::{SetAssocTlb, TlbConfig, TlbEntry};
+pub use walker::{PageTableWalker, WalkOutcome};

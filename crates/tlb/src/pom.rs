@@ -60,17 +60,6 @@ struct PomEntry {
     lru: u64,
 }
 
-/// POM-TLB statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PomStats {
-    /// Lookups that found a translation.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries installed.
-    pub inserts: u64,
-}
-
 /// The in-memory software-managed TLB.
 pub struct PomTlb {
     cfg: PomTlbConfig,
@@ -78,8 +67,6 @@ pub struct PomTlb {
     set_mask: u64,
     entries: Vec<PomEntry>,
     tick: u64,
-    /// Statistics.
-    pub stats: PomStats,
 }
 
 impl std::fmt::Debug for PomTlb {
@@ -114,7 +101,6 @@ impl PomTlb {
             base,
             cfg,
             tick: 0,
-            stats: PomStats::default(),
         }
     }
 
@@ -148,11 +134,9 @@ impl PomTlb {
             let e = &mut self.entries[start + w];
             if e.valid && e.vpn == vpn && e.asid == asid && e.size == size {
                 e.lru = tick;
-                self.stats.hits += 1;
                 return PomLookup { frame: Some(e.frame), line: self.line_addr(set, w) };
             }
         }
-        self.stats.misses += 1;
         PomLookup { frame: None, line: self.line_addr(set, 0) }
     }
 
@@ -174,7 +158,6 @@ impl PomTlb {
             set_slice.iter().enumerate().min_by_key(|(_, e)| e.lru).map(|(i, _)| i).unwrap()
         };
         set_slice[way] = PomEntry { valid: true, vpn, asid, size, frame, lru: tick };
-        self.stats.inserts += 1;
         self.line_addr(set, way)
     }
 
@@ -194,7 +177,7 @@ impl PomTlb {
 
     /// Serialises the directory contents and LRU clock into checkpoint
     /// words (geometry and backing-store base are rebuilt from the
-    /// config, statistics are zero at the checkpoint boundary).
+    /// config).
     pub fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.tick);
         for e in &self.entries {
@@ -232,16 +215,6 @@ impl PomTlb {
         }
         Ok(())
     }
-
-    /// POM-TLB hit ratio so far.
-    pub fn hit_ratio(&self) -> f64 {
-        let t = self.stats.hits + self.stats.misses;
-        if t == 0 {
-            0.0
-        } else {
-            self.stats.hits as f64 / t as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -268,8 +241,6 @@ mod tests {
         p.insert(0x42, a, PageSize::Size4K, 0x99);
         let l = p.lookup(0x42, a, PageSize::Size4K);
         assert_eq!(l.frame, Some(0x99));
-        assert_eq!(p.stats.hits, 1);
-        assert_eq!(p.stats.misses, 1);
     }
 
     #[test]

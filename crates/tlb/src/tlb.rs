@@ -147,38 +147,6 @@ impl TlbConfig {
     }
 }
 
-/// Hit/miss statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TlbStats {
-    /// Probes that hit.
-    pub hits: u64,
-    /// Probes that missed.
-    pub misses: u64,
-    /// Entries filled.
-    pub fills: u64,
-    /// Valid entries displaced by fills.
-    pub evictions: u64,
-    /// Entries invalidated by maintenance operations.
-    pub invalidations: u64,
-}
-
-impl TlbStats {
-    /// Total probes.
-    pub fn probes(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Miss ratio (0 when unused).
-    pub fn miss_ratio(&self) -> f64 {
-        let p = self.probes();
-        if p == 0 {
-            0.0
-        } else {
-            self.misses as f64 / p as f64
-        }
-    }
-}
-
 /// A set-associative, LRU TLB over packed key words.
 pub struct SetAssocTlb {
     cfg: TlbConfig,
@@ -195,8 +163,6 @@ pub struct SetAssocTlb {
     /// the API boundary.
     payloads: Vec<u64>,
     tick: u64,
-    /// Statistics.
-    pub stats: TlbStats,
 }
 
 impl std::fmt::Debug for SetAssocTlb {
@@ -222,7 +188,6 @@ impl SetAssocTlb {
             payloads: vec![0; cfg.entries],
             cfg,
             tick: 0,
-            stats: TlbStats::default(),
         }
     }
 
@@ -248,25 +213,18 @@ impl SetAssocTlb {
         self.keys[start..start + self.cfg.ways].iter().position(|&k| k == key).map(|w| start + w)
     }
 
-    /// Looks up a translation, updating LRU and statistics.
+    /// Looks up a translation, updating LRU.
     pub fn probe(&mut self, vpn: u64, asid: Asid, size: PageSize) -> Option<TlbEntry> {
         self.tick += 1;
         let start = self.set_start(vpn);
         let key = pack_key(vpn, asid, size);
-        match self.find(start, key) {
-            Some(i) => {
-                self.stamps[i] = self.tick;
-                self.stats.hits += 1;
-                Some(TlbEntry::unpack(key, self.payloads[i]))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        self.find(start, key).map(|i| {
+            self.stamps[i] = self.tick;
+            TlbEntry::unpack(key, self.payloads[i])
+        })
     }
 
-    /// Non-destructive lookup (no LRU or statistics updates).
+    /// Non-destructive lookup (no LRU update).
     pub fn contains(&self, vpn: u64, asid: Asid, size: PageSize) -> bool {
         self.find(self.set_start(vpn), pack_key(vpn, asid, size)).is_some()
     }
@@ -274,7 +232,6 @@ impl SetAssocTlb {
     /// Inserts an entry; returns the entry displaced, if a valid one was.
     /// Re-filling an already-present translation refreshes it in place.
     pub fn fill(&mut self, mut entry: TlbEntry) -> Option<TlbEntry> {
-        self.stats.fills += 1;
         self.tick += 1;
         entry.valid = true;
         let key = entry.key();
@@ -309,9 +266,6 @@ impl SetAssocTlb {
         let victim = start + (best & 0xff) as usize;
         let displaced = key_is_valid(self.keys[victim])
             .then(|| TlbEntry::unpack(self.keys[victim], self.payloads[victim]));
-        if displaced.is_some() {
-            self.stats.evictions += 1;
-        }
         self.keys[victim] = key;
         self.payloads[victim] = entry.payload();
         self.stamps[victim] = self.tick;
@@ -324,7 +278,6 @@ impl SetAssocTlb {
             Some(i) => {
                 self.keys[i] = INVALID_KEY;
                 self.stamps[i] = 0;
-                self.stats.invalidations += 1;
                 true
             }
             None => false,
@@ -341,7 +294,6 @@ impl SetAssocTlb {
                 n += 1;
             }
         }
-        self.stats.invalidations += n;
         n
     }
 
@@ -355,7 +307,6 @@ impl SetAssocTlb {
                 n += 1;
             }
         }
-        self.stats.invalidations += n;
         n
     }
 
@@ -364,14 +315,8 @@ impl SetAssocTlb {
         self.keys.iter().filter(|&&k| key_is_valid(k)).count()
     }
 
-    /// Clears statistics (contents stay warm).
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
-
     /// Serialises the TLB's microarchitectural state (LRU clock, packed
-    /// keys, payloads) into checkpoint words. Statistics are not included
-    /// — checkpoints are taken at a boundary where they are zero. Per way
+    /// keys, payloads) into checkpoint words. Per way
     /// the payload packs `frame | freq<<56 | cost<<60` (40-bit frames
     /// leave bits 56+ free), followed by the LRU stamp; everything else
     /// about an entry is recoverable from its key word.
@@ -425,8 +370,6 @@ mod tests {
         t.fill(TlbEntry::new(10, a, PageSize::Size4K, 99));
         let e = t.probe(10, a, PageSize::Size4K).expect("hit");
         assert_eq!(e.frame, 99);
-        assert_eq!(t.stats.hits, 1);
-        assert_eq!(t.stats.misses, 1);
     }
 
     #[test]
@@ -473,7 +416,6 @@ mod tests {
         assert_eq!(t.invalidate_asid(Asid::new(1)), 1);
         assert_eq!(t.invalidate_all(), 1);
         assert_eq!(t.valid_entries(), 0);
-        assert_eq!(t.stats.invalidations, 3);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! the split PWCs, then issues one cache-hierarchy access per remaining
 //! page-table level, pointer-chasing serially. The walker also updates the
 //! PTE-embedded PTW frequency/cost counters that Victima's predictor reads
-//! (Sec. 5.2), and feeds the PTW-latency histogram behind Fig. 4.
+//! (Sec. 5.2). It keeps no statistics: each [`WalkOutcome`] carries the
+//! walk's latency, DRAM touch and depth, and the caller counts them.
 //!
 //! The same walker is reused for the host page table and the shadow page
 //! table in virtualised mode; the 2D nested-walk *flow* is composed in the
@@ -13,7 +14,7 @@
 use crate::pwc::{PageWalkCaches, PWC_LATENCY};
 use mem_sim::{Hierarchy, MemClass, ReplacementCtx};
 use page_table::{Pte, RadixPageTable};
-use vm_types::{Asid, Cycles, Histogram, PageSize, PhysAddr, VirtAddr};
+use vm_types::{Asid, Cycles, PageSize, PhysAddr, VirtAddr};
 
 /// Result of one page-table walk.
 #[derive(Clone, Copy, Debug)]
@@ -36,73 +37,17 @@ pub struct WalkOutcome {
     pub memory_accesses: u8,
 }
 
-/// Aggregate walker statistics.
-#[derive(Clone, Debug)]
-pub struct WalkerStats {
-    /// Completed walks.
-    pub walks: u64,
-    /// Walks that touched DRAM at least once.
-    pub dram_walks: u64,
-    /// Total walk latency.
-    pub total_latency: u64,
-    /// Total memory accesses issued by walks.
-    pub memory_accesses: u64,
-    /// Latency distribution with the paper's Fig. 4 buckets
-    /// (`[20,190)` in 10-cycle steps; overflow beyond).
-    pub latency_hist: Histogram,
-}
-
-impl Default for WalkerStats {
-    fn default() -> Self {
-        Self {
-            walks: 0,
-            dram_walks: 0,
-            total_latency: 0,
-            memory_accesses: 0,
-            latency_hist: Histogram::new(20, 10, 17),
-        }
-    }
-}
-
-impl WalkerStats {
-    /// Mean walk latency (0 when no walks).
-    pub fn mean_latency(&self) -> f64 {
-        if self.walks == 0 {
-            0.0
-        } else {
-            self.total_latency as f64 / self.walks as f64
-        }
-    }
-}
-
 /// A hardware page-table walker with its split PWCs.
+#[derive(Debug, Default)]
 pub struct PageTableWalker {
     /// The split page-walk caches.
     pub pwc: PageWalkCaches,
-    /// Statistics.
-    pub stats: WalkerStats,
-    /// Whether walks update the PTE counters (the baseline systems do, so
-    /// the predictor study of Table 2 can observe them; disable to model
-    /// hardware without Victima support).
-    pub update_counters: bool,
-}
-
-impl std::fmt::Debug for PageTableWalker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PageTableWalker").field("stats", &self.stats).finish()
-    }
-}
-
-impl Default for PageTableWalker {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl PageTableWalker {
     /// Creates a walker with cold PWCs.
     pub fn new() -> Self {
-        Self { pwc: PageWalkCaches::new(), stats: WalkerStats::default(), update_counters: true }
+        Self::default()
     }
 
     /// Performs one walk of `pt` for `va`, issuing real hierarchy accesses
@@ -138,23 +83,13 @@ impl PageTableWalker {
         self.pwc.fill_all(va, asid, leaf_level);
 
         let mut leaf_pte = walk.leaf_pte;
-        if self.update_counters {
-            pt.update_leaf(va, |pte| {
-                pte.bump_ptw_freq();
-                if dram_touched {
-                    pte.bump_ptw_cost();
-                }
-                leaf_pte = *pte;
-            });
-        }
-
-        self.stats.walks += 1;
-        self.stats.total_latency += latency;
-        self.stats.memory_accesses += accesses as u64;
-        if dram_touched {
-            self.stats.dram_walks += 1;
-        }
-        self.stats.latency_hist.record(latency);
+        pt.update_leaf(va, |pte| {
+            pte.bump_ptw_freq();
+            if dram_touched {
+                pte.bump_ptw_cost();
+            }
+            leaf_pte = *pte;
+        });
 
         Some(WalkOutcome {
             latency,
@@ -165,11 +100,6 @@ impl PageTableWalker {
             leaf_pte_paddr: walk.leaf_pte_paddr(),
             memory_accesses: accesses,
         })
-    }
-
-    /// Clears statistics (PWC contents stay warm).
-    pub fn reset_stats(&mut self) {
-        self.stats = WalkerStats::default();
     }
 }
 
@@ -231,17 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_updates_can_be_disabled() {
-        let (mut alloc, mut pt, mut hier, mut w) = setup();
-        w.update_counters = false;
-        let va = VirtAddr::new(0x6000_0000);
-        pt.map(va, alloc.alloc_4k(), PageSize::Size4K, &mut alloc);
-        let ctx = ReplacementCtx::default();
-        let o = w.walk(&mut pt, va, Asid::new(1), &mut hier, &ctx).unwrap();
-        assert_eq!(o.leaf_pte.ptw_freq(), 0);
-    }
-
-    #[test]
     fn huge_page_walk_is_three_levels() {
         let (mut alloc, mut pt, mut hier, mut w) = setup();
         let va = VirtAddr::new(0x8000_0000);
@@ -257,20 +176,5 @@ mod tests {
         let (_, mut pt, mut hier, mut w) = setup();
         let ctx = ReplacementCtx::default();
         assert!(w.walk(&mut pt, VirtAddr::new(0x123), Asid::new(1), &mut hier, &ctx).is_none());
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let (mut alloc, mut pt, mut hier, mut w) = setup();
-        let ctx = ReplacementCtx::default();
-        for i in 0..10u64 {
-            let va = VirtAddr::new(0x9000_0000 + i * 4096);
-            pt.map(va, alloc.alloc_4k(), PageSize::Size4K, &mut alloc);
-            w.walk(&mut pt, va, Asid::new(1), &mut hier, &ctx).unwrap();
-        }
-        assert_eq!(w.stats.walks, 10);
-        assert!(w.stats.mean_latency() > 0.0);
-        assert_eq!(w.stats.latency_hist.count(), 10);
-        assert!(w.stats.dram_walks >= 1);
     }
 }
