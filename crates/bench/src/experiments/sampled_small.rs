@@ -62,7 +62,7 @@ fn sampled_specs(cfgs: &[SystemConfig]) -> Vec<RunSpec> {
 /// The Small-scale sampled Victima-vs-radix comparison (checked).
 pub fn run(ctx: &ExpCtx) -> Vec<ExperimentReport> {
     let cfgs = [SystemConfig::radix(), SystemConfig::victima()];
-    let results = ctx.engine().run_batch(sampled_specs(&cfgs));
+    let results = ctx.run_batch(sampled_specs(&cfgs));
     let (radix, victima) = results.split_at(WORKLOADS.len());
 
     let mut r =
@@ -111,15 +111,14 @@ pub fn run(ctx: &ExpCtx) -> Vec<ExperimentReport> {
 /// Small-scale stream span (unchecked: it reports time).
 pub fn speedup(ctx: &ExpCtx) -> Vec<ExperimentReport> {
     let cfgs = [SystemConfig::radix(), SystemConfig::victima()];
-    let engine = ctx.engine();
-    let sampled = engine.run_batch(sampled_specs(&cfgs));
+    let sampled = ctx.run_batch(sampled_specs(&cfgs));
     let full: Vec<RunSpec> = cfgs
         .iter()
         .flat_map(|cfg| {
             WORKLOADS.iter().map(move |&w| RunSpec::new(w, cfg.clone(), Scale::Small, WARMUP, SPAN))
         })
         .collect();
-    let full = engine.run_batch(full);
+    let full = ctx.run_batch(full);
 
     let mut r = ExperimentReport::new(
         "sampling_speedup",

@@ -25,7 +25,7 @@ fn collect_dataset(ctx: &ExpCtx) -> Vec<Sample> {
         .map(|&name| RunSpec::new(name, SystemConfig::radix(), scale, warmup, instructions).with_features())
         .collect();
     let mut merged = FeatureTracker::new();
-    for result in ctx.engine().run_batch(specs) {
+    for result in ctx.run_batch(specs) {
         // The measured window's features are what we label.
         let tracker = result.features.expect("spec asked for feature collection");
         merged.merge(&tracker);

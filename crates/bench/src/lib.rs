@@ -17,7 +17,7 @@ pub mod trace;
 
 use obs::{merge_snapshots, MetricValue, SpanEvent};
 use report::Provenance;
-use sim::{ObsMode, RunSpec, SamplingConfig, SimEngine, SimStats, SystemConfig};
+use sim::{ObsMode, RunResult, RunSpec, SamplingConfig, SimEngine, SimStats, SystemConfig};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use workloads::{registry::WORKLOAD_NAMES, Scale};
@@ -217,6 +217,22 @@ impl ExpCtx {
             .clone()
     }
 
+    /// Runs `specs` as one engine batch, collecting their spans and
+    /// metrics when observability is on ([`ExpCtx::with_obs`]).
+    pub fn run_batch(&self, specs: Vec<RunSpec>) -> Vec<RunResult> {
+        let results = self.engine.run_batch(specs);
+        if let Some(col) = &self.obs {
+            let mut data = col.lock().expect("obs collector poisoned");
+            for r in &results {
+                data.spans.extend(r.spans.iter().cloned());
+                if let Some(m) = &r.metrics {
+                    merge_snapshots(&mut data.metrics, m);
+                }
+            }
+        }
+        results
+    }
+
     /// Fans the uncached jobs out as one engine batch and fills the cache.
     fn run_jobs(&self, jobs: Vec<(SystemConfig, &'static str)>) {
         if jobs.is_empty() {
@@ -232,16 +248,7 @@ impl ExpCtx {
                 }
             })
             .collect();
-        let results = self.engine.run_batch(specs);
-        if let Some(col) = &self.obs {
-            let mut data = col.lock().expect("obs collector poisoned");
-            for r in &results {
-                data.spans.extend(r.spans.iter().cloned());
-                if let Some(m) = &r.metrics {
-                    merge_snapshots(&mut data.metrics, m);
-                }
-            }
-        }
+        let results = self.run_batch(specs);
         let mut cache = self.cache.lock().expect("run cache poisoned");
         for ((cfg, w), r) in jobs.into_iter().zip(results) {
             cache.insert((cfg.name, w), r.stats);

@@ -132,6 +132,15 @@ mod tests {
     }
 
     #[test]
+    fn profile_report_splits_a_sampled_fast_forward_into_skip_and_func_warm() {
+        let r = profile_report(&tiny_obs_ctx(), &["sampled_small"]).expect("profile runs");
+        let labels: Vec<&str> = r.rows.iter().map(|row| row.label.as_str()).collect();
+        for phase in ["setup", "warmup", "detailed_window", "skip", "func_warm", "detailed_warm"] {
+            assert!(labels.contains(&phase), "{phase} missing from {labels:?}");
+        }
+    }
+
+    #[test]
     fn profile_report_rejects_unknown_ids_and_blind_contexts() {
         let ctx = tiny_obs_ctx();
         assert!(profile_report(&ctx, &["warp-drive"]).unwrap_err().contains("unknown experiment"));

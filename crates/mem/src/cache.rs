@@ -74,16 +74,10 @@ pub struct CacheStats {
     pub prefetch_fills: u64,
     /// Valid lines evicted.
     pub evictions: u64,
-    /// Dirty lines written back.
-    pub writebacks: u64,
     /// Reuse at eviction for data blocks (Fig. 11).
     pub data_reuse: ReuseHistogram,
     /// Reuse at eviction for TLB blocks (Fig. 24).
     pub tlb_reuse: ReuseHistogram,
-    /// Typed (TLB-block) probes that hit.
-    pub tlb_probe_hits: u64,
-    /// Typed (TLB-block) probes that missed.
-    pub tlb_probe_misses: u64,
     /// TLB blocks evicted to make room for other lines.
     pub tlb_block_evictions: u64,
 }
@@ -303,8 +297,8 @@ impl Cache {
     }
 
     /// Typed probe used by Victima: looks up a translation block by
-    /// precomputed set/tag plus ASID and page size. Counts toward the TLB
-    /// probe statistics and updates replacement state on hit.
+    /// precomputed set/tag plus ASID and page size. Updates replacement
+    /// state on hit.
     pub fn probe_translation(
         &mut self,
         set: usize,
@@ -318,17 +312,13 @@ impl Cache {
         let start = set * self.cfg.ways;
         match self.find(start, pack_word(tag, kind, asid, size)) {
             Some(w) => {
-                self.stats.tlb_probe_hits += 1;
                 let word = &mut self.words[start + w];
                 *word = word_bump_reuse(*word);
                 let (mut set, policy) = self.set_repl(start);
                 policy.on_hit(&mut set, w, ctx);
                 true
             }
-            None => {
-                self.stats.tlb_probe_misses += 1;
-                false
-            }
+            None => false,
         }
     }
 
@@ -402,9 +392,6 @@ impl Cache {
 
     fn account_eviction(&mut self, block: &CacheBlock) {
         self.stats.evictions += 1;
-        if block.dirty {
-            self.stats.writebacks += 1;
-        }
         match block.kind {
             BlockKind::Data => self.stats.data_reuse.record(block.reuse as u64),
             BlockKind::Tlb | BlockKind::NestedTlb => {
@@ -601,10 +588,11 @@ mod tests {
         let mut c = small_cache();
         let ctx = ReplacementCtx::default();
         c.fill_data(PhysAddr::new(0), true, false, &ctx);
-        for i in 1..=4u64 {
-            c.fill_data(PhysAddr::new(i * 1024), false, false, &ctx);
-        }
-        assert_eq!(c.stats.writebacks, 1);
+        let dirty = (1..=4u64)
+            .filter_map(|i| c.fill_data(PhysAddr::new(i * 1024), false, false, &ctx))
+            .filter(|e| e.block.dirty)
+            .count();
+        assert_eq!(dirty, 1);
     }
 
     #[test]
@@ -620,8 +608,6 @@ mod tests {
         assert!(!c.probe_translation(5, 0xaa, BlockKind::Tlb, Asid::new(4), PageSize::Size4K, &ctx));
         assert!(!c.probe_translation(5, 0xaa, BlockKind::Tlb, asid, PageSize::Size2M, &ctx));
         assert!(!c.probe_translation(5, 0xaa, BlockKind::NestedTlb, asid, PageSize::Size4K, &ctx));
-        assert_eq!(c.stats.tlb_probe_hits, 1);
-        assert_eq!(c.stats.tlb_probe_misses, 4);
         c.assert_packed_consistency();
     }
 

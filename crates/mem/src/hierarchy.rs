@@ -95,27 +95,6 @@ impl Default for HierarchyConfig {
     }
 }
 
-/// Per-class hierarchy statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HierarchyStats {
-    /// Demand accesses per class (ifetch, data, ptw, pom).
-    pub accesses: [u64; 4],
-    /// DRAM accesses per class.
-    pub dram_accesses: [u64; 4],
-}
-
-impl HierarchyStats {
-    #[inline]
-    fn idx(class: MemClass) -> usize {
-        match class {
-            MemClass::IFetch => 0,
-            MemClass::Data => 1,
-            MemClass::Ptw => 2,
-            MemClass::PomTlb => 3,
-        }
-    }
-}
-
 /// The backing store behind the private caches: the last-level cache plus
 /// DRAM. One instance can be shared by several [`Hierarchy`] front-ends
 /// (the multi-core model's shared LLC); a single-core hierarchy owns a
@@ -197,8 +176,6 @@ pub struct Hierarchy {
     /// miss, never reallocated in steady state (capacity sticks at the
     /// prefetch degree).
     pf_scratch: Vec<PhysAddr>,
-    /// Per-class statistics.
-    pub stats: HierarchyStats,
 }
 
 impl std::fmt::Debug for Hierarchy {
@@ -239,7 +216,6 @@ impl Hierarchy {
             stream: StreamPrefetcher::default(),
             prefetchers: cfg.prefetchers,
             pf_scratch: Vec::new(),
-            stats: HierarchyStats::default(),
         }
     }
 
@@ -300,8 +276,6 @@ impl Hierarchy {
         pc: u64,
         ctx: &ReplacementCtx,
     ) -> AccessResult {
-        self.stats.accesses[HierarchyStats::idx(class)] += 1;
-
         // L1 stage.
         if class.uses_l1() {
             let l1 = match class {
@@ -340,9 +314,6 @@ impl Hierarchy {
 
         // L3 + DRAM stage (the shared LLC).
         let (latency, dram_access) = self.llc.borrow_mut().access(pa, ctx);
-        if dram_access {
-            self.stats.dram_accesses[HierarchyStats::idx(class)] += 1;
-        }
         self.l2.fill_data(pa, write && !class.uses_l1(), false, ctx);
         self.fill_upper(pa, class, ctx);
         AccessResult {
@@ -458,7 +429,6 @@ impl Hierarchy {
         self.l1d.reset_stats();
         self.l2.reset_stats();
         self.llc.borrow_mut().reset_stats();
-        self.stats = HierarchyStats::default();
     }
 }
 
@@ -532,14 +502,13 @@ mod tests {
     }
 
     #[test]
-    fn per_class_stats_are_tracked() {
+    fn cold_accesses_of_every_class_reach_dram() {
         let mut h = hier();
         let ctx = ReplacementCtx::default();
-        h.access(PhysAddr::new(0x9000), false, MemClass::Data, &ctx);
-        h.access(PhysAddr::new(0xa000), false, MemClass::Ptw, &ctx);
-        h.access(PhysAddr::new(0xb000), false, MemClass::PomTlb, &ctx);
-        assert_eq!(h.stats.accesses, [0, 1, 1, 1]);
-        assert_eq!(h.stats.dram_accesses, [0, 1, 1, 1]);
+        for (pa, class) in [(0x9000, MemClass::Data), (0xa000, MemClass::Ptw), (0xb000, MemClass::PomTlb)] {
+            let r = h.access(PhysAddr::new(pa), false, class, &ctx);
+            assert!(r.dram_access && r.served_by == MemLevel::Dram, "{class:?}");
+        }
     }
 
     #[test]

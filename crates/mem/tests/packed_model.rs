@@ -60,9 +60,6 @@ struct RefCache {
     fills: u64,
     prefetch_fills: u64,
     evictions: u64,
-    writebacks: u64,
-    tlb_probe_hits: u64,
-    tlb_probe_misses: u64,
     tlb_block_evictions: u64,
 }
 
@@ -81,9 +78,6 @@ impl RefCache {
             fills: 0,
             prefetch_fills: 0,
             evictions: 0,
-            writebacks: 0,
-            tlb_probe_hits: 0,
-            tlb_probe_misses: 0,
             tlb_block_evictions: 0,
         }
     }
@@ -198,15 +192,11 @@ impl RefCache {
         let way = (0..self.ways).find(|&w| self.blocks[start + w].matches(tag, kind, asid, size));
         match way {
             Some(w) => {
-                self.tlb_probe_hits += 1;
                 self.blocks[start + w].reuse = self.blocks[start + w].reuse.saturating_add(1);
                 self.on_hit(start, w, ctx);
                 true
             }
-            None => {
-                self.tlb_probe_misses += 1;
-                false
-            }
+            None => false,
         }
     }
 
@@ -228,9 +218,6 @@ impl RefCache {
         let evicted = old.valid.then_some(old);
         if let Some(ev) = &evicted {
             self.evictions += 1;
-            if ev.dirty {
-                self.writebacks += 1;
-            }
             if ev.kind.is_translation() {
                 self.tlb_block_evictions += 1;
                 self.translation_blocks -= 1;
@@ -294,9 +281,6 @@ fn assert_stats(model: &RefCache, stats: &CacheStats, translation_blocks: usize,
     assert_eq!(stats.fills, model.fills, "{ctx_label}: fills diverged");
     assert_eq!(stats.prefetch_fills, model.prefetch_fills, "{ctx_label}: prefetch fills diverged");
     assert_eq!(stats.evictions, model.evictions, "{ctx_label}: evictions diverged");
-    assert_eq!(stats.writebacks, model.writebacks, "{ctx_label}: writebacks diverged");
-    assert_eq!(stats.tlb_probe_hits, model.tlb_probe_hits, "{ctx_label}: tlb probe hits diverged");
-    assert_eq!(stats.tlb_probe_misses, model.tlb_probe_misses, "{ctx_label}: tlb probe misses diverged");
     assert_eq!(
         stats.tlb_block_evictions, model.tlb_block_evictions,
         "{ctx_label}: tlb block evictions diverged"

@@ -1,8 +1,8 @@
 //! Structured span tracing: named phases with monotonic timings.
 //!
 //! A [`Tracer`] collects flat [`SpanEvent`]s — one per executed phase
-//! (warm-up, detailed window, fast-forward, checkpoint restore, worker
-//! exec, …) — stamped in microseconds from the tracer's own
+//! (warm-up, detailed window, stream skip, functional warming, checkpoint
+//! restore, worker exec, …) — stamped in microseconds from the tracer's own
 //! [`MonotonicClock`] origin. Events carry numeric fields (instruction
 //! budgets, window indices) but no absolute time, so they can ride in
 //! artifacts without breaking cross-run reproducibility; rendering to
@@ -28,7 +28,7 @@ use vm_types::MonotonicClock;
 /// One completed phase: name, start offset, duration, numeric fields.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Phase name ("warmup", "detailed_window", "fast_forward", …).
+    /// Phase name ("warmup", "detailed_window", "skip", "func_warm", …).
     pub name: &'static str,
     /// Microseconds from the tracer origin to the span start.
     pub start_us: u64,

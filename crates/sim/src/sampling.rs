@@ -164,8 +164,10 @@ pub fn run_sampled(sys: &mut System, warmup: u64, measured: u64, cfg: &SamplingC
         let tail = cfg.fast.min(FUNC_WARM);
         let t0 = sys.span_start();
         sys.skip(cfg.fast - tail);
+        sys.span_end("skip", t0, &[("instr", cfg.fast - tail)]);
+        let t0 = sys.span_start();
         sys.fast_forward(tail);
-        sys.span_end("fast_forward", t0, &[("instr", cfg.fast), ("func_warm_tail", tail)]);
+        sys.span_end("func_warm", t0, &[("instr", tail)]);
         skipped += cfg.fast;
         let t0 = sys.span_start();
         sys.run(cfg.warm);

@@ -40,6 +40,7 @@ pub struct ProcGraph {
     /// Exclusive prefix sums of `degrees`.
     prefix: Vec<u64>,
     block_sum: u64,
+    max_degree: u64,
 }
 
 impl ProcGraph {
@@ -58,7 +59,8 @@ impl ProcGraph {
             prefix.push(acc);
             acc += d as u64;
         }
-        Self { v, seed, degrees, prefix, block_sum: acc }
+        let max_degree = degrees.iter().copied().max().unwrap_or(0) as u64;
+        Self { v, seed, degrees, prefix, block_sum: acc, max_degree }
     }
 
     /// Vertex count.
@@ -73,7 +75,7 @@ impl ProcGraph {
 
     /// The largest out-degree of any vertex.
     pub(crate) fn max_degree(&self) -> u64 {
-        self.degrees.iter().copied().max().unwrap_or(0) as u64
+        self.max_degree
     }
 
     /// Out-degree of `v`.
@@ -99,12 +101,25 @@ impl ProcGraph {
     #[inline]
     pub fn neighbor(&self, v: u64, i: u64) -> u64 {
         debug_assert!(i < self.degree(v));
-        let h = mix2(self.seed ^ v, i);
-        if self.v.is_power_of_two() {
-            h & (self.v - 1)
-        } else {
-            h % self.v
-        }
+        reduce(mix2(self.seed ^ v, i), self.v)
+    }
+
+    /// `v`'s neighbours in slot order, `neighbor(v, i)` for each `i`
+    /// below `degree(v)`, with the hash key and vertex count read once.
+    #[inline]
+    pub(crate) fn neighbors(&self, v: u64) -> impl Iterator<Item = u64> {
+        let (key, n) = (self.seed ^ v, self.v);
+        (0..self.degree(v)).map(move |i| reduce(mix2(key, i), n))
+    }
+}
+
+/// Reduces hash `h` to a vertex id below `n`.
+#[inline]
+fn reduce(h: u64, n: u64) -> u64 {
+    if n.is_power_of_two() {
+        h & (n - 1)
+    } else {
+        h % n
     }
 }
 
@@ -193,9 +208,14 @@ impl GraphCore {
     /// neighbour id.
     #[inline]
     pub fn emit_edge(&self, v: u64, i: u64, site: u32, out: &mut impl Sink) -> u64 {
-        let off = self.graph.edge_offset(v) + i;
-        out.push(MemRef::load(self.edges.add(off * 8), pc(site), 1));
+        self.emit_edge_slot(self.graph.edge_offset(v) + i, site, out);
         self.graph.neighbor(v, i)
+    }
+
+    /// Emits the load of edge-array slot `slot` (`edge_offset(v) + i`).
+    #[inline]
+    pub(crate) fn emit_edge_slot(&self, slot: u64, site: u32, out: &mut impl Sink) {
+        out.push(MemRef::load(self.edges.add(slot * 8), pc(site), 1));
     }
 
     /// Address of vertex `u`'s property object in array `p`.
@@ -246,6 +266,17 @@ mod tests {
                 assert!(u < g.num_vertices());
                 assert_eq!(u, g.neighbor(v, i), "determinism");
             }
+        }
+    }
+
+    #[test]
+    fn neighbor_lists_equal_per_slot_neighbors() {
+        for g in [graph(), ProcGraph::new(1 << 17, 8, 7)] {
+            for v in [0u64, 999, 77_777] {
+                let per_slot: Vec<u64> = (0..g.degree(v)).map(|i| g.neighbor(v, i)).collect();
+                assert_eq!(g.neighbors(v).collect::<Vec<_>>(), per_slot, "vertex {v}");
+            }
+            assert_eq!(g.max_degree(), (0..1024).map(|v| g.degree(v)).max().unwrap());
         }
     }
 
