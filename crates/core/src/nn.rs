@@ -439,6 +439,34 @@ mod tests {
         assert_eq!(FeatureSet::All10.extract(&s).len(), 10);
     }
 
+    /// FNV-1a over the bits of each net's test-set predictions after a
+    /// short training run on a dataset that uses all ten features: it
+    /// pins every f32 operation of `train` and `predict`, in order.
+    #[test]
+    fn trained_predictions_are_pinned() {
+        let mut rng = TrainRng::new(0x5eed);
+        let data: Vec<Sample> = (0..400)
+            .map(|_| {
+                let mut features = [0f32; 10];
+                features.iter_mut().for_each(|f| *f = rng.uniform(0.0, 1.0));
+                let costly = features[1] + features[2] + 0.3 * features[8] > 1.2;
+                Sample { features, ptw_frequency: 0, ptw_cost: 0, costly }
+            })
+            .collect();
+        let (train, test) = split_samples(&data, 0.3, 11);
+        let cfg = TrainConfig { epochs: 4, ..TrainConfig::default() };
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for set in [FeatureSet::All10, FeatureSet::Top5, FeatureSet::Two] {
+            let (mlp, _) = train_and_evaluate(set, &train, &test, &cfg);
+            for (x, _) in to_xy(set, &test) {
+                for b in mlp.predict(&x).to_bits().to_le_bytes() {
+                    hash = (hash ^ b as u64).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(hash, 0x4676_2a05_ecab_37ca, "prediction hash {hash:#018x}");
+    }
+
     #[test]
     fn training_on_empty_data_is_a_noop() {
         let mut mlp = Mlp::new(&[2, 4, 1], 7);
