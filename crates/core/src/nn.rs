@@ -223,63 +223,65 @@ impl Mlp {
         let mut rng = TrainRng::new(cfg.seed ^ 0x7e57);
         let mut order: Vec<usize> = (0..data.len()).collect();
 
-        // Forward activations per layer (post-activation), reused buffers.
+        // Per-layer outputs (post-activation) and the two backward deltas,
+        // allocated once. A leaky ReLU output is <= 0 exactly when its
+        // input is, so the outputs also give the activation's gradient.
         let n_layers = self.layers.len();
-        let mut acts: Vec<Vec<f32>> = vec![Vec::new(); n_layers + 1];
-        let mut zs: Vec<Vec<f32>> = vec![Vec::new(); n_layers];
+        let mut acts: Vec<Vec<f32>> = self.layers.iter().map(|l| Vec::with_capacity(l.out_dim)).collect();
+        let width = self.layers.iter().map(|l| l.in_dim.max(l.out_dim)).max().unwrap_or(1);
+        let (mut delta, mut next_delta) = (Vec::with_capacity(width), Vec::with_capacity(width));
 
         for _ in 0..cfg.epochs {
             rng.shuffle(&mut order);
             for &i in &order {
                 let (x, y) = &data[i];
                 // Forward.
-                acts[0] = x.clone();
                 for (l, layer) in self.layers.iter().enumerate() {
-                    let (head, tail) = acts.split_at_mut(l + 1);
-                    layer.forward(&head[l], &mut zs[l]);
-                    tail[0] = zs[l].clone();
+                    let (head, tail) = acts.split_at_mut(l);
+                    let out = &mut tail[0];
+                    layer.forward(head.last().map_or(x, |a| a), out);
                     if l + 1 < n_layers {
-                        for v in tail[0].iter_mut() {
+                        for v in out.iter_mut() {
                             if *v < 0.0 {
                                 *v *= LEAK;
                             }
                         }
                     }
                 }
-                let p = sigmoid(acts[n_layers][0]);
+                let p = sigmoid(acts[n_layers - 1][0]);
                 let target = if *y { 1.0 } else { 0.0 };
                 let weight = if *y { pos_weight } else { 1.0 };
                 // dL/dz for sigmoid+BCE.
-                let mut delta = vec![weight * (p - target)];
+                delta.clear();
+                delta.push(weight * (p - target));
                 // Backward.
-                #[allow(clippy::needless_range_loop)]
-                for l in (0..n_layers).rev() {
-                    let layer = &mut self.layers[l];
-                    let input = &acts[l];
-                    let mut next_delta = vec![0.0f32; layer.in_dim];
-                    for o in 0..layer.out_dim {
-                        let d = delta[o];
-                        let row_start = o * layer.in_dim;
-                        for i_in in 0..layer.in_dim {
-                            next_delta[i_in] += layer.w[row_start + i_in] * d;
-                            let g = d * input[i_in];
-                            let v = &mut layer.vw[row_start + i_in];
+                for (l, layer) in self.layers.iter_mut().enumerate().rev() {
+                    let input = if l == 0 { x } else { &acts[l - 1] };
+                    next_delta.clear();
+                    next_delta.resize(layer.in_dim, 0.0);
+                    let rows =
+                        layer.w.chunks_exact_mut(layer.in_dim).zip(layer.vw.chunks_exact_mut(layer.in_dim));
+                    for (((w_row, vw_row), (b, vb)), &d) in
+                        rows.zip(layer.b.iter_mut().zip(&mut layer.vb)).zip(&delta)
+                    {
+                        for (((nd, w), v), &a) in next_delta.iter_mut().zip(w_row).zip(vw_row).zip(input) {
+                            *nd += *w * d;
+                            let g = d * a;
                             *v = cfg.momentum * *v - cfg.lr * g;
-                            layer.w[row_start + i_in] += *v;
+                            *w += *v;
                         }
-                        let vb = &mut layer.vb[o];
                         *vb = cfg.momentum * *vb - cfg.lr * d;
-                        layer.b[o] += *vb;
+                        *b += *vb;
                     }
                     if l > 0 {
                         // Backprop through the leaky ReLU of the previous layer.
-                        for (nd, z) in next_delta.iter_mut().zip(&zs[l - 1]) {
-                            if *z <= 0.0 {
+                        for (nd, a) in next_delta.iter_mut().zip(&acts[l - 1]) {
+                            if *a <= 0.0 {
                                 *nd *= LEAK;
                             }
                         }
                     }
-                    delta = next_delta;
+                    std::mem::swap(&mut delta, &mut next_delta);
                 }
             }
         }
