@@ -21,9 +21,9 @@ use workloads::{registry, Scale};
 
 /// Builds a system for `workload`, warms it up, then asserts the measured
 /// window performs at most `allowed` allocations. `allowed` is 0 for
-/// every generator but BFS, whose frontier vectors are real algorithm
-/// state and may still see a couple of capacity doublings; the
-/// simulator's own access/miss path contributes none of it.
+/// every generator but BFS, whose frontier levels are real algorithm
+/// state: their chunk arena may still double its capacity a couple of
+/// times. The simulator's own access/miss path contributes none of it.
 fn assert_steady_state_allocs(config: SystemConfig, workload: &str, allowed: u64) {
     let w = registry::by_name_seeded(workload, Scale::Tiny, config.seed).expect("known workload");
     let mut sys = System::new(config, w);
@@ -71,7 +71,8 @@ fn xs_is_allocation_free() {
 }
 
 /// BFS: streaming traversal — exercises confident stream prefetches (the
-/// reused scratch buffer must never regrow). Only its frontier may grow.
+/// reused scratch buffer must never regrow). Only its frontier arena may
+/// grow.
 #[test]
 fn bfs_allocates_only_frontier_growth() {
     assert_both_configs("BFS", 4);
@@ -83,7 +84,7 @@ fn tc_is_allocation_free() {
 }
 
 /// `System::skip` after warm-up: no allocation for any generator but
-/// BFS, whose dry fills grow the same frontier `fill` does.
+/// BFS, whose dry fills grow the same frontier arena `fill` does.
 #[test]
 fn skip_is_allocation_free() {
     for (workload, allowed) in [("RND", 0), ("GEN", 0), ("DLRM", 0), ("XS", 0), ("TC", 0), ("BFS", 4)] {
