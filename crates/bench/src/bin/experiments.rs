@@ -54,7 +54,8 @@ fn usage() -> ! {
         "                   [--scale S] [--warmup N] [--instr N] [--seed N] [--sampling U:D[:W]]\n",
         "                   [--out FILE] [--attempts N]\n",
         "       experiments status [--dir DIR] [--metrics] [--shutdown]\n",
-        "       experiments profile [ids...] [--jobs N] [--scale S] [--format F] [--out FILE]",
+        "       experiments profile [ids...] [--jobs N] [--scale S] [--sampling U:D[:W]] [--format F]\n",
+        "                   [--out FILE]",
     ))
 }
 
@@ -294,15 +295,19 @@ fn run_check(reports: &[ExperimentReport]) -> i32 {
     }
 }
 
-/// `experiments profile [ids...] [--jobs N] [--scale S] [--format F]
-/// [--out FILE]` — run experiments with full observability and write the
-/// per-phase span breakdown to `BENCH_obs.json` (`VICTIMA_OBS_OUT` or
-/// `--out` override), plus a human rendering on stdout. Defaults to the
-/// pinned `--check` profile over every checked experiment, so a bare
-/// `profile` answers "where does the regression gate spend its time?".
+/// `experiments profile [ids...] [--jobs N] [--scale S] [--sampling
+/// U:D[:W]] [--format F] [--out FILE]` — run experiments with full
+/// observability and write the per-phase span breakdown to
+/// `BENCH_obs.json` (`VICTIMA_OBS_OUT` or `--out` override), plus a human
+/// rendering on stdout. Defaults to the pinned `--check` profile over
+/// every checked experiment, so a bare `profile` answers "where does the
+/// regression gate spend its time?". `--sampling` samples the suite
+/// experiments' runs as the top-level flag does, so their `skip` and
+/// `func_warm` phases show.
 fn profile_cli(mut args: Vec<String>) -> i32 {
     let jobs = parse_jobs(&mut args);
     let scale = parse_scale(&mut args);
+    let sampling = parse_sampling(&mut args);
     let format = parse_format(&mut args).unwrap_or(Format::Text);
     let path = flag_value(&mut args, "--out")
         .map(std::path::PathBuf::from)
@@ -319,6 +324,9 @@ fn profile_cli(mut args: Vec<String>) -> i32 {
     };
     if let Some(n) = jobs {
         ctx = ctx.with_jobs(n);
+    }
+    if let Some(s) = sampling {
+        ctx = ctx.with_sampling(s);
     }
     let ctx = ctx.with_obs();
     let start = std::time::Instant::now();

@@ -126,3 +126,41 @@ fn closed_stderr_pipe_keeps_the_usage_error_status() {
     // A panic on the failed write would exit 101.
     assert_eq!(status.code(), Some(2));
 }
+
+/// `profile --sampling` is parsed like the top-level flag: a malformed
+/// schedule exits 2 with the same message.
+#[test]
+fn profile_rejects_a_malformed_sampling_schedule_like_the_top_level_flag() {
+    let status_and_stderr = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments")).args(args).output().expect("spawn binary");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let top = status_and_stderr(&["--sampling", "5:10", "calibrate"]);
+    let profile = status_and_stderr(&["profile", "--sampling", "5:10", "calibrate"]);
+    assert_eq!(top.0, Some(2), "{}", top.1);
+    assert!(top.1.starts_with("--sampling: "), "{}", top.1);
+    assert_eq!(profile, top);
+}
+
+/// A sampled profile of a suite experiment splits each fast-forward into
+/// `skip` and `func_warm` rows; the same profile without `--sampling`
+/// has neither.
+#[test]
+fn sampled_profile_of_a_suite_experiment_has_skip_and_func_warm_rows() {
+    let dir = scratch("profile-sampling");
+    std::fs::create_dir_all(&dir).unwrap();
+    let phases = |sampling: &[&str]| {
+        let path = dir.join("BENCH_obs.json");
+        let mut args = vec!["profile", "calibrate", "--jobs", "2", "--out", path.to_str().unwrap()];
+        args.extend(sampling);
+        let (ok, _, stderr) = run(&args);
+        assert!(ok, "profile failed: {stderr}");
+        let r = report::json::from_json(&std::fs::read_to_string(&path).unwrap()).expect("profile artifact");
+        r.rows.into_iter().map(|row| row.label).collect::<Vec<_>>()
+    };
+    let sampled = phases(&["--sampling", "20000:2000:1000"]);
+    assert!(sampled.iter().any(|p| p == "skip") && sampled.iter().any(|p| p == "func_warm"), "{sampled:?}");
+    let full = phases(&[]);
+    assert!(!full.iter().any(|p| p == "skip" || p == "func_warm"), "{full:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
