@@ -549,6 +549,80 @@ mod tests {
         assert!(g.restore_state(&words[..100]).is_err(), "short stream must be rejected");
     }
 
+    /// FNV-1a over the checkpoint words after a seeded mixed stream on a
+    /// hierarchy with a TLB-aware L2: demand data (prefetchers on, real
+    /// PCs), PTW and POM-TLB accesses, translation probes, fills and
+    /// invalidations under calm and pressure contexts, and one ASID
+    /// flush. It pins every replacement decision and every word's
+    /// checkpoint encoding, RRPV bits included.
+    #[test]
+    fn checkpoint_words_are_pinned() {
+        use crate::block::BlockKind;
+        use vm_types::{Asid, PageSize};
+
+        let mut cfg = HierarchyConfig::default();
+        // Small L2/L3 so the stream keeps every set under eviction.
+        cfg.l2.size_bytes = 64 << 10;
+        cfg.l3.size_bytes = 128 << 10;
+        let mut h = Hierarchy::with_l2_policy(cfg, Policy::tlb_aware_srrip());
+        let contexts = [ReplacementCtx::default(), ReplacementCtx { l2_tlb_mpki: 10.0, l2_cache_mpki: 8.0 }];
+        let sets = h.l2().num_sets();
+        let mut rng = vm_types::SplitMix64::new(0x9e37);
+        let mut stride_pa = 0u64;
+        for op in 0..60_000u64 {
+            let ctx = contexts[(op / 500 % 2) as usize];
+            let pa = PhysAddr::new(rng.next_below(1 << 20) & !7);
+            let group = rng.next_below(4096);
+            let (set, tag) = ((group as usize) & (sets - 1), group >> sets.trailing_zeros());
+            let asid = Asid::new(1 + rng.next_below(3) as u16);
+            let kind = if rng.chance(0.7) { BlockKind::Tlb } else { BlockKind::NestedTlb };
+            let size = if rng.chance(0.2) { PageSize::Size2M } else { PageSize::Size4K };
+            match rng.next_below(100) {
+                0..=29 => {
+                    let pc = 0x40_0000 + rng.next_below(16) * 4;
+                    h.access_pc(pa, rng.chance(0.3), MemClass::Data, pc, &ctx);
+                }
+                30..=49 => {
+                    // One strided stream trains both prefetchers.
+                    stride_pa = (stride_pa + 64) % (4 << 20);
+                    h.access_pc(PhysAddr::new(stride_pa), false, MemClass::Data, 0x40_1000, &ctx);
+                }
+                50..=59 => {
+                    h.access(pa, false, MemClass::Ptw, &ctx);
+                }
+                60..=64 => {
+                    h.access(pa, rng.chance(0.5), MemClass::PomTlb, &ctx);
+                }
+                65..=89 => {
+                    let l2 = h.l2_mut();
+                    if !l2.probe_translation(set, tag, kind, asid, size, &ctx) {
+                        l2.fill_translation(set, tag, kind, asid, size, &ctx);
+                    }
+                }
+                90..=94 => {
+                    h.l2_mut().invalidate_translation_at(set, tag, kind, asid, size);
+                }
+                _ => {
+                    h.l2_mut().invalidate_data(pa);
+                }
+            }
+            if op == 30_000 {
+                h.l2_mut().invalidate_translation_blocks(|b| b.asid == Asid::new(2));
+            }
+        }
+        let l2 = &h.l2().stats;
+        assert!(l2.tlb_block_evictions > 0 && l2.prefetch_fills > 0 && h.l1d().stats.prefetch_fills > 0);
+        let mut words = Vec::new();
+        h.save_state(&mut words);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for w in &words {
+            for b in w.to_le_bytes() {
+                hash = (hash ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(hash, 0xab7e_7ab7_5f7b_9a0f, "checkpoint hash {hash:#018x}");
+    }
+
     #[test]
     fn prefetchers_fill_without_timing_charge() {
         let mut h = Hierarchy::new(HierarchyConfig::default());
