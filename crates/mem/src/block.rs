@@ -9,15 +9,18 @@
 //! # Packed presence words
 //!
 //! The cache's per-access hot path never scans [`CacheBlock`] structs.
-//! Each way's *entire state* — valid bit, kind, page size, ASID, tag,
-//! dirty/prefetched bits, a saturating reuse counter and the 2-bit SRRIP
-//! counter — packs into one `u64` presence word ([`pack_word`]), so a
-//! lookup is one masked equality compare per way over contiguous memory,
-//! and hits, fills, victim aging and evictions all mutate the very cache
-//! lines the scan just loaded. Layout, low bit first:
+//! Each way's block state — valid bit, kind, page size, ASID, tag,
+//! dirty/prefetched bits and a saturating reuse counter — packs into one
+//! `u64` presence word ([`pack_word`]), so a lookup is one masked
+//! equality compare per way over contiguous memory, and hits, fills and
+//! evictions mutate the very cache lines the scan just loaded. The SRRIP
+//! re-reference value lives in the set's lane word instead (see
+//! [`crate::replacement`]): in a resident word bits 63:62 are zero, and
+//! only checkpoint words carry the RRPV there ([`word_with_rrip`]).
+//! Layout, high bit first:
 //!
 //! ```text
-//! [63:62] rrip       (2-bit SRRIP counter)
+//! [63:62] rrip       (0 while resident; the 2-bit RRPV in checkpoints)
 //! [61]    dirty
 //! [60]    prefetched
 //! [59:50] reuse      (hits since fill, saturating at 1023 — far beyond
@@ -108,10 +111,10 @@ pub const WORD_PREFETCHED_SHIFT: u32 = 60;
 /// Bit position of the dirty bit.
 pub const WORD_DIRTY_SHIFT: u32 = 61;
 
-/// Bit position of the embedded 2-bit SRRIP counter.
+/// Bit position of the 2-bit SRRIP counter a checkpoint word carries.
 pub const WORD_RRIP_SHIFT: u32 = 62;
 
-/// Mask selecting the embedded SRRIP counter.
+/// Mask selecting the checkpoint SRRIP counter (zero in resident words).
 pub const WORD_RRIP_MASK: u64 = 0b11 << WORD_RRIP_SHIFT;
 
 /// Mask selecting a way's identity (valid + kind + size + asid + tag);
@@ -173,13 +176,13 @@ pub const fn word_is_translation(word: u64) -> bool {
     word_is_valid(word) && (word >> 1) & 0b11 != 0
 }
 
-/// The embedded SRRIP counter of a presence word.
+/// The SRRIP counter of a checkpoint word.
 #[inline]
 pub const fn word_rrip(word: u64) -> u8 {
     (word >> WORD_RRIP_SHIFT) as u8
 }
 
-/// Returns `word` with its SRRIP counter replaced.
+/// Returns `word` with its checkpoint SRRIP counter replaced.
 #[inline]
 pub const fn word_with_rrip(word: u64, rrip: u8) -> u64 {
     (word & !WORD_RRIP_MASK) | ((rrip as u64 & 0b11) << WORD_RRIP_SHIFT)
@@ -250,9 +253,9 @@ pub const fn word_size(word: u64) -> PageSize {
 
 /// One 64-byte cache block's metadata as a self-contained record (the
 /// simulator never stores the data payload itself). The hot path keeps
-/// this information packed — identity in the presence word, counters in
-/// the per-way hot array — and materialises a `CacheBlock` only for
-/// evictions, maintenance predicates and inspection.
+/// this information packed in the presence word and materialises a
+/// `CacheBlock` only for evictions, maintenance predicates and
+/// inspection.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CacheBlock {
     /// Valid bit.

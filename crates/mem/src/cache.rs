@@ -13,22 +13,28 @@
 //! records are materialised only for evictions and inspection:
 //!
 //! - `words` — one presence word per way ([`crate::block::pack_word`]):
-//!   valid + kind + page size + ASID + tag + dirty/prefetched + reuse +
-//!   the 2-bit SRRIP counter in a single `u64`. A lookup is one masked
-//!   compare per way over contiguous memory, and hits, fills, victim
-//!   aging and evictions mutate the same cache lines the scan loaded.
+//!   valid + kind + page size + ASID + tag + dirty/prefetched + reuse in
+//!   a single `u64`. A lookup is one masked compare per way over
+//!   contiguous memory, and hits, fills and evictions mutate the same
+//!   cache lines the scan loaded.
 //! - `lru` — packed LRU stamps, allocated only for LRU (L1) caches.
+//! - `lanes` — one word of 3-bit SRRIP lanes per set, allocated only for
+//!   the SRRIP family (see [`crate::replacement`]): victim selection and
+//!   ageing are a few mask operations on it, whatever the associativity.
 //!
-//! A 16-way set is exactly two cache lines versus ~1 KB of block structs
-//! in a naive layout; a simulated 2 MB cache's whole state is 256 KB and
-//! lives comfortably in the host's cache hierarchy.
+//! A 16-way set is exactly two cache lines plus one lane word, versus
+//! ~1 KB of block structs in a naive layout; a simulated 2 MB cache's
+//! whole state is 272 KB and lives comfortably in the host's cache
+//! hierarchy.
 
 use crate::block::{
     pack_data_word, pack_word, pack_word_flags, word_asid, word_bump_reuse, word_dirty, word_is_translation,
-    word_is_valid, word_kind, word_prefetched, word_reuse, word_set_dirty, word_size, word_tag, BlockKind,
-    CacheBlock, INVALID_WORD, WORD_KEY_MASK,
+    word_is_valid, word_kind, word_prefetched, word_reuse, word_rrip, word_set_dirty, word_size, word_tag,
+    word_with_rrip, BlockKind, CacheBlock, INVALID_WORD, WORD_KEY_MASK, WORD_RRIP_MASK,
 };
-use crate::replacement::{Policy, ReplSet, ReplacementCtx};
+use crate::replacement::{
+    empty_lanes, lane, with_lane, Policy, ReplSet, ReplacementCtx, LANE_INVALID, MAX_LANE_WAYS,
+};
 use vm_types::{Asid, Cycles, PageSize, PhysAddr, ReuseHistogram};
 
 /// Geometry and latency of one cache.
@@ -122,6 +128,9 @@ pub struct Cache {
     /// caches (the SRRIP family never reads them, and the empty `Vec`
     /// keeps a big L2/L3's footprint out of the host's caches).
     lru: Vec<u64>,
+    /// One word of SRRIP lanes per set; allocated only for the SRRIP
+    /// family (LRU caches keep stamps instead).
+    lanes: Vec<u64>,
     policy: Policy,
     /// Count of valid TLB/NestedTlb blocks (translation-reach sampling).
     translation_blocks: usize,
@@ -149,12 +158,19 @@ impl Cache {
         assert!(cfg.block_bytes.is_power_of_two(), "{}: block size must be a power of two", cfg.name);
         let n = num_sets * cfg.ways;
         let block_shift = cfg.block_bytes.trailing_zeros();
+        let lru = policy.is_lru();
+        assert!(
+            lru || cfg.ways <= MAX_LANE_WAYS,
+            "{}: SRRIP lanes hold at most {MAX_LANE_WAYS} ways",
+            cfg.name
+        );
         Self {
             set_mask: num_sets as u64 - 1,
             block_shift,
             tag_shift: block_shift + num_sets.trailing_zeros(),
             words: vec![INVALID_WORD; n],
-            lru: if matches!(policy, Policy::Lru { .. }) { vec![0; n] } else { Vec::new() },
+            lru: if lru { vec![0; n] } else { Vec::new() },
+            lanes: if lru { Vec::new() } else { vec![empty_lanes(cfg.ways); num_sets] },
             num_sets,
             cfg,
             policy,
@@ -240,23 +256,39 @@ impl Cache {
         }
     }
 
-    /// Splits out one set's replacement view alongside the policy (the
+    /// Splits out set `set`'s replacement view alongside the policy (the
     /// borrows are disjoint fields, which the compiler can only see inside
     /// a single function body).
     #[inline]
-    fn set_repl(&mut self, start: usize) -> (ReplSet<'_>, &mut Policy) {
+    fn set_repl(&mut self, set: usize) -> (ReplSet<'_>, &mut Policy) {
+        let start = set * self.cfg.ways;
         let end = start + self.cfg.ways;
-        // The LRU stamp array is empty for SRRIP-family caches; hand those
-        // policies an empty window (they never index it).
-        let lru_range = if self.lru.is_empty() { 0..0 } else { start..end };
-        (ReplSet { words: &mut self.words[start..end], lru: &mut self.lru[lru_range] }, &mut self.policy)
+        // Each cache allocates either stamps or lanes; hand the policy an
+        // empty window for the other (it never indexes it).
+        let (lru_range, lane_range) =
+            if self.lanes.is_empty() { (start..end, 0..0) } else { (0..0, set..set + 1) };
+        let view = ReplSet {
+            words: &self.words[start..end],
+            lru: &mut self.lru[lru_range],
+            lanes: &mut self.lanes[lane_range],
+        };
+        (view, &mut self.policy)
+    }
+
+    /// Invalidates way `way` of set `set`.
+    #[inline]
+    fn invalidate_way(&mut self, set: usize, way: usize) {
+        self.words[set * self.cfg.ways + way] = INVALID_WORD;
+        let (mut view, policy) = self.set_repl(set);
+        policy.on_invalidate(&mut view, way);
     }
 
     /// Demand data access. Returns `true` on hit and updates replacement /
     /// reuse state; on a miss the caller is expected to fetch the line from
     /// the next level and call [`Cache::fill_data`].
     pub fn access_data(&mut self, pa: PhysAddr, write: bool, ctx: &ReplacementCtx) -> bool {
-        let start = self.data_set_index(pa) * self.cfg.ways;
+        let set = self.data_set_index(pa);
+        let start = set * self.cfg.ways;
         match self.find(start, pack_data_word(self.data_tag(pa))) {
             Some(w) => {
                 self.stats.hits += 1;
@@ -265,8 +297,8 @@ impl Cache {
                 if write {
                     *word = word_set_dirty(*word);
                 }
-                let (mut set, policy) = self.set_repl(start);
-                policy.on_hit(&mut set, w, ctx);
+                let (mut view, policy) = self.set_repl(set);
+                policy.on_hit(&mut view, w, ctx);
                 true
             }
             None => {
@@ -314,8 +346,8 @@ impl Cache {
             Some(w) => {
                 let word = &mut self.words[start + w];
                 *word = word_bump_reuse(*word);
-                let (mut set, policy) = self.set_repl(start);
-                policy.on_hit(&mut set, w, ctx);
+                let (mut view, policy) = self.set_repl(set);
+                policy.on_hit(&mut view, w, ctx);
                 true
             }
             None => false,
@@ -367,8 +399,8 @@ impl Cache {
         assert!(tag < 1 << crate::block::WORD_TAG_BITS, "{}: tag overflows the presence word", self.cfg.name);
         let start = set * self.cfg.ways;
         let victim_way = {
-            let (mut set, policy) = self.set_repl(start);
-            policy.choose_victim(&mut set, ctx)
+            let (mut view, policy) = self.set_repl(set);
+            policy.choose_victim(&mut view, ctx)
         };
         let victim = start + victim_way;
         let evicted = word_is_valid(self.words[victim]).then(|| {
@@ -385,8 +417,8 @@ impl Cache {
         } else {
             self.stats.fills += 1;
         }
-        let (mut set, policy) = self.set_repl(start);
-        policy.on_fill(&mut set, victim_way, ctx);
+        let (mut view, policy) = self.set_repl(set);
+        policy.on_fill(&mut view, victim_way, ctx);
         evicted
     }
 
@@ -406,10 +438,10 @@ impl Cache {
     /// a block was invalidated. Used by Victima's block transformation: the
     /// PTE cluster's data copy is re-tagged as a TLB block.
     pub fn invalidate_data(&mut self, pa: PhysAddr) -> bool {
-        let start = self.data_set_index(pa) * self.cfg.ways;
-        match self.find(start, pack_data_word(self.data_tag(pa))) {
+        let set = self.data_set_index(pa);
+        match self.find(set * self.cfg.ways, pack_data_word(self.data_tag(pa))) {
             Some(w) => {
-                self.words[start + w] = INVALID_WORD;
+                self.invalidate_way(set, w);
                 true
             }
             None => false,
@@ -427,10 +459,9 @@ impl Cache {
         asid: Asid,
         size: PageSize,
     ) -> bool {
-        let start = set * self.cfg.ways;
-        match self.find(start, pack_word(tag, kind, asid, size)) {
+        match self.find(set * self.cfg.ways, pack_word(tag, kind, asid, size)) {
             Some(w) => {
-                self.words[start + w] = INVALID_WORD;
+                self.invalidate_way(set, w);
                 self.translation_blocks = self.translation_blocks.saturating_sub(1);
                 true
             }
@@ -448,7 +479,7 @@ impl Cache {
         let mut dropped = 0;
         for i in 0..self.words.len() {
             if word_is_translation(self.words[i]) && pred(&self.block_at(i)) {
-                self.words[i] = INVALID_WORD;
+                self.invalidate_way(i / self.cfg.ways, i % self.cfg.ways);
                 dropped += 1;
             }
         }
@@ -462,8 +493,8 @@ impl Cache {
         (0..self.words.len()).filter(|&i| word_is_valid(self.words[i])).map(|i| self.block_at(i))
     }
 
-    /// Clears all contents and statistics (used between warm-up and
-    /// measurement only for stats; contents are kept warm).
+    /// Clears the statistics; contents stay warm (used between warm-up
+    /// and measurement).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
@@ -477,13 +508,27 @@ impl Cache {
     /// Serialises the cache's contents into checkpoint words: the
     /// replacement policy's global tick (0 for the stateless SRRIP
     /// family), the packed presence words, and the LRU stamp array (empty
-    /// for SRRIP caches — their RRPV state lives in the presence words).
+    /// for SRRIP caches). An SRRIP-family cache composes each valid way's
+    /// RRPV lane into bits 63:62 of its presence word, so the lanes need
+    /// no section of their own.
     pub fn save_state(&self, out: &mut Vec<u64>) {
         out.push(match &self.policy {
             Policy::Lru { tick } => *tick,
             _ => 0,
         });
-        out.extend_from_slice(&self.words);
+        if self.lanes.is_empty() {
+            out.extend_from_slice(&self.words);
+        } else {
+            for (set, &lanes) in self.words.chunks_exact(self.cfg.ways).zip(&self.lanes) {
+                out.extend(set.iter().enumerate().map(|(way, &w)| {
+                    if word_is_valid(w) {
+                        word_with_rrip(w, lane(lanes, way))
+                    } else {
+                        w
+                    }
+                }));
+            }
+        }
         out.extend_from_slice(&self.lru);
     }
 
@@ -509,15 +554,41 @@ impl Cache {
         let n = self.words.len();
         self.words.copy_from_slice(&words[1..1 + n]);
         self.lru.copy_from_slice(&words[1 + n..]);
+        let ways = self.cfg.ways;
+        for (set, lanes) in self.words.chunks_exact_mut(ways).zip(self.lanes.iter_mut()) {
+            *lanes = set.iter().enumerate().fold(0, |acc, (way, &w)| {
+                with_lane(acc, way, if word_is_valid(w) { word_rrip(w) } else { LANE_INVALID })
+            });
+        }
+        for w in &mut self.words {
+            *w &= !WORD_RRIP_MASK;
+        }
         self.translation_blocks = self.words.iter().filter(|&&w| word_is_translation(w)).count();
         Ok(())
     }
 
     /// Consistency check (tests): the translation-block counter must
-    /// match the packed population.
+    /// match the packed population, resident words carry zero RRPV bits,
+    /// and in an SRRIP-family cache a way's lane reads
+    /// [`LANE_INVALID`] exactly when its word is invalid (and an RRPV
+    /// otherwise), with every lane past the last way zero.
     pub fn assert_packed_consistency(&self) {
         let translations = self.words.iter().filter(|&&w| word_is_translation(w)).count();
         assert_eq!(translations, self.translation_blocks, "translation block count diverged");
+        assert!(self.words.iter().all(|&w| w & WORD_RRIP_MASK == 0), "a resident word carries RRPV bits");
+        let ways = self.cfg.ways;
+        for (set, (words, &lanes)) in self.words.chunks_exact(ways).zip(&self.lanes).enumerate() {
+            for (way, &w) in words.iter().enumerate() {
+                let l = lane(lanes, way);
+                assert_eq!(
+                    l == LANE_INVALID,
+                    !word_is_valid(w),
+                    "set {set} way {way}: lane {l} vs word {w:#x}"
+                );
+                assert!(l <= LANE_INVALID, "set {set} way {way}: lane {l} out of range");
+            }
+            assert_eq!(lanes >> (3 * ways), 0, "set {set}: lanes past the last way are set");
+        }
     }
 }
 

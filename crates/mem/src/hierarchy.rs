@@ -173,8 +173,8 @@ pub struct Hierarchy {
     stream: StreamPrefetcher,
     prefetchers: bool,
     /// Reused stream-prefetch candidate buffer: cleared per L2 demand
-    /// miss, never reallocated in steady state (capacity sticks at the
-    /// prefetch degree).
+    /// miss and reserved at the prefetch degree up front, so no miss
+    /// allocates, not even the first confident one.
     pf_scratch: Vec<PhysAddr>,
 }
 
@@ -207,15 +207,16 @@ impl Hierarchy {
     /// LLC was sized by whoever built it (the multi-core system scales the
     /// L3 by core count).
     pub fn with_shared_llc(cfg: HierarchyConfig, l2_policy: Policy, llc: Rc<RefCell<SharedLlc>>) -> Self {
+        let stream = StreamPrefetcher::default();
         Self {
             l1i: Cache::new(cfg.l1i.clone(), Policy::lru()),
             l1d: Cache::new(cfg.l1d.clone(), Policy::lru()),
             l2: Cache::new(cfg.l2.clone(), l2_policy),
             llc,
             ip_stride: IpStridePrefetcher::default(),
-            stream: StreamPrefetcher::default(),
+            pf_scratch: Vec::with_capacity(stream.degree()),
+            stream,
             prefetchers: cfg.prefetchers,
-            pf_scratch: Vec::new(),
         }
     }
 

@@ -165,6 +165,12 @@ impl StreamPrefetcher {
         }
     }
 
+    /// Blocks prefetched per confident advance: the most candidates one
+    /// [`StreamPrefetcher::train_into`] call appends.
+    pub fn degree(&self) -> usize {
+        self.degree
+    }
+
     /// Trains on an L2 demand miss, appending prefetch candidates to the
     /// caller-owned `out` buffer. The buffer is *not* cleared — callers
     /// clear and reuse one scratch `Vec` across misses, keeping the miss

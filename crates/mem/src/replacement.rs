@@ -5,25 +5,81 @@
 //! the paper) is the third [`Policy`] variant. Policies are an `enum`
 //! rather than a trait object so the per-access hot path pays a jump
 //! table, not a vtable load, and so the compiler can inline the match
-//! arms into [`crate::Cache`]'s scan loops.
+//! arms into [`crate::Cache`]'s hit and fill paths.
 //!
-//! Replacement state never lives in fat per-block structs: the 2-bit
-//! SRRIP counters are embedded in the packed presence words the lookup
-//! already scanned (see [`crate::block`]), and LRU stamps sit in a packed
-//! `Vec<u64>`. Victim selection therefore mutates the cache lines the
-//! probe just loaded instead of re-walking cold struct fields, and the
-//! SRRIP aging loop is folded into a closed form (one max-scan, one
-//! add-pass) rather than repeated rescans.
+//! # SRRIP lanes
+//!
+//! The SRRIP family keeps one `u64` per set: way `w`'s re-reference
+//! prediction value (RRPV) sits in the 3-bit *lane* at bits
+//! `[3w + 2 : 3w]`. A lane of 0–3 is the RRPV of a valid way and
+//! [`LANE_INVALID`] (4) marks an invalid way; lanes past the set's last
+//! way stay 0, so at most [`MAX_LANE_WAYS`] ways fit. With `ones` the
+//! word holding a 1 in every way's lane:
+//!
+//! - the invalid ways are `lanes & (ones << 2)`, and the victim is the
+//!   lowest of them;
+//! - otherwise every lane is 0–3, the ways at RRPV 3 are
+//!   `lanes & (lanes >> 1) & ones`, and the victim is the first way at
+//!   the highest RRPV present;
+//! - ageing the set until that way reaches [`RRIP_MAX`] is one add of
+//!   `(RRIP_MAX - max) * ones`, which cannot carry between lanes because
+//!   every lane is at most `max`.
+//!
+//! A victim is therefore a few mask operations and one `trailing_zeros`,
+//! whatever the associativity. Hits, fills and invalidations each write
+//! one lane. The presence words ([`crate::block`]) carry no RRPV while
+//! resident; checkpoints compose it back into their bits 63:62.
+//!
+//! LRU caches keep one stamp per way from a per-cache tick. Their victim
+//! is one branch-free min fold over `(valid, stamp, way)` keys, in which
+//! an invalid way keys on its index alone.
 //!
 //! The dynamic context a policy may consult — whether address-translation
 //! pressure is currently high — travels in [`ReplacementCtx`].
 
-use crate::block::{word_is_translation, word_is_valid, word_rrip, word_with_rrip};
+use crate::block::{word_is_translation, word_is_valid};
 
 /// Maximum re-reference prediction value for 2-bit SRRIP counters.
 pub const RRIP_MAX: u8 = 3;
 /// Insertion RRPV for SRRIP ("long re-reference interval").
 pub const RRIP_INSERT: u8 = 2;
+
+/// The lane value of an invalid way.
+pub const LANE_INVALID: u8 = 4;
+
+/// Width of one way's lane in a set's lane word.
+const LANE_BITS: u32 = 3;
+
+/// Most ways one lane word holds (21 lanes of 3 bits).
+pub const MAX_LANE_WAYS: usize = (u64::BITS / LANE_BITS) as usize;
+
+/// A 1 in the low bit of each of the [`MAX_LANE_WAYS`] lanes.
+const ALL_LANE_ONES: u64 = 0x1249_2492_4924_9249;
+
+/// A 1 in the low bit of each of the first `ways` lanes.
+#[inline]
+pub const fn lane_ones(ways: usize) -> u64 {
+    ALL_LANE_ONES >> (LANE_BITS as usize * (MAX_LANE_WAYS - ways))
+}
+
+/// The lane word of a set whose `ways` ways are all invalid.
+#[inline]
+pub const fn empty_lanes(ways: usize) -> u64 {
+    lane_ones(ways) * LANE_INVALID as u64
+}
+
+/// Way `way`'s lane in a set's lane word.
+#[inline]
+pub const fn lane(lanes: u64, way: usize) -> u8 {
+    ((lanes >> (LANE_BITS as usize * way)) & 0b111) as u8
+}
+
+/// Returns `lanes` with way `way`'s lane replaced by `value`.
+#[inline]
+pub const fn with_lane(lanes: u64, way: usize, value: u8) -> u64 {
+    let shift = LANE_BITS as usize * way;
+    (lanes & !(0b111 << shift)) | ((value as u64) << shift)
+}
 
 /// Dynamic context a policy may consult when inserting / evicting.
 ///
@@ -58,16 +114,18 @@ impl ReplacementCtx {
     }
 }
 
-/// One set's replacement view: the packed presence words (identity +
-/// embedded SRRIP counters) and the packed LRU stamps.
+/// One set's replacement view: the packed presence words, the LRU stamps
+/// and the SRRIP lane word.
 #[derive(Debug)]
 pub struct ReplSet<'a> {
-    /// Packed presence words, one per way (see [`crate::block`]). Policies
-    /// read validity/kind and mutate the embedded RRIP bits; they never
-    /// touch the identity bits.
-    pub words: &'a mut [u64],
-    /// LRU stamps, one per way.
+    /// Packed presence words, one per way (see [`crate::block`]).
+    /// Policies read validity and kind from them.
+    pub words: &'a [u64],
+    /// LRU stamps, one per way (empty for SRRIP-family caches).
     pub lru: &'a mut [u64],
+    /// The set's lane word: a one-element window for SRRIP-family
+    /// caches, empty for LRU caches.
+    pub lanes: &'a mut [u64],
 }
 
 /// A statically dispatched cache replacement policy. One value serves one
@@ -116,40 +174,60 @@ impl Policy {
         }
     }
 
+    /// Whether the policy keeps per-way LRU stamps (else SRRIP lanes).
+    #[inline]
+    pub fn is_lru(&self) -> bool {
+        matches!(self, Policy::Lru { .. })
+    }
+
     /// Called after `way` has been (re)filled.
     #[inline]
     pub fn on_fill(&mut self, set: &mut ReplSet<'_>, way: usize, ctx: &ReplacementCtx) {
-        match self {
+        let rrpv = match self {
             Policy::Lru { tick } => {
                 *tick += 1;
                 set.lru[way] = *tick;
+                return;
             }
-            Policy::Srrip => set.words[way] = word_with_rrip(set.words[way], RRIP_INSERT),
+            Policy::Srrip => RRIP_INSERT,
             Policy::TlbAwareSrrip => {
-                let w = set.words[way];
-                let rrip = if word_is_translation(w) && ctx.tlb_pressure_high() { 0 } else { RRIP_INSERT };
-                set.words[way] = word_with_rrip(w, rrip);
+                if word_is_translation(set.words[way]) && ctx.tlb_pressure_high() {
+                    0
+                } else {
+                    RRIP_INSERT
+                }
             }
-        }
+        };
+        set.lanes[0] = with_lane(set.lanes[0], way, rrpv);
     }
 
     /// Called when `way` hits.
     #[inline]
     pub fn on_hit(&mut self, set: &mut ReplSet<'_>, way: usize, ctx: &ReplacementCtx) {
-        match self {
+        let promote = match self {
             Policy::Lru { tick } => {
                 *tick += 1;
                 set.lru[way] = *tick;
+                return;
             }
-            Policy::Srrip => {
-                let w = set.words[way];
-                set.words[way] = word_with_rrip(w, word_rrip(w).saturating_sub(1));
-            }
+            Policy::Srrip => 1,
             Policy::TlbAwareSrrip => {
-                let w = set.words[way];
-                let promote = if word_is_translation(w) && ctx.tlb_pressure_high() { 3 } else { 1 };
-                set.words[way] = word_with_rrip(w, word_rrip(w).saturating_sub(promote));
+                if word_is_translation(set.words[way]) && ctx.tlb_pressure_high() {
+                    3
+                } else {
+                    1
+                }
             }
+        };
+        let lanes = set.lanes[0];
+        set.lanes[0] = with_lane(lanes, way, lane(lanes, way).saturating_sub(promote));
+    }
+
+    /// Called after `way` has been invalidated.
+    #[inline]
+    pub fn on_invalidate(&self, set: &mut ReplSet<'_>, way: usize) {
+        if !self.is_lru() {
+            set.lanes[0] = with_lane(set.lanes[0], way, LANE_INVALID);
         }
     }
 
@@ -158,31 +236,25 @@ impl Policy {
     #[inline]
     pub fn choose_victim(&mut self, set: &mut ReplSet<'_>, ctx: &ReplacementCtx) -> usize {
         match self {
-            Policy::Lru { .. } => {
-                if let Some(way) = set.words.iter().position(|&w| !word_is_valid(w)) {
-                    return way;
-                }
-                let mut best = 0;
-                for (way, &stamp) in set.lru.iter().enumerate() {
-                    if stamp < set.lru[best] {
-                        best = way;
-                    }
-                }
-                best
-            }
-            Policy::Srrip => scan_victim(set),
+            Policy::Lru { .. } => lru_victim(set.words, set.lru),
+            Policy::Srrip => srrip_victim(&mut set.lanes[0], set.words.len()),
             Policy::TlbAwareSrrip => {
-                let way = scan_victim(set);
+                let way = srrip_victim(&mut set.lanes[0], set.words.len());
                 if word_is_translation(set.words[way]) && ctx.tlb_pressure_high() {
-                    // One more attempt (Listing 1 line 23): prefer any
-                    // non-TLB block that has also aged to RRIP_MAX. If none
-                    // exists, the TLB block is evicted (and dropped, not
-                    // written back).
-                    let alt = set.words.iter().position(|&w| {
-                        word_is_valid(w) && !word_is_translation(w) && word_rrip(w) >= RRIP_MAX
-                    });
-                    if let Some(alt) = alt {
-                        return alt;
+                    // One more attempt (Listing 1 line 23): prefer the
+                    // first non-TLB block that has also aged to RRIP_MAX.
+                    // The set is full here (an invalid victim is never a
+                    // translation), so every lane is an RRPV. If no such
+                    // block exists, the TLB block is evicted (and dropped,
+                    // not written back).
+                    let lanes = set.lanes[0];
+                    let mut at_max = lanes & (lanes >> 1) & lane_ones(set.words.len());
+                    while at_max != 0 {
+                        let alt = (at_max.trailing_zeros() / LANE_BITS) as usize;
+                        if !word_is_translation(set.words[alt]) {
+                            return alt;
+                        }
+                        at_max &= at_max - 1;
                     }
                 }
                 way
@@ -191,28 +263,44 @@ impl Policy {
     }
 }
 
-/// Shared SRRIP victim scan: the first invalid way, else the first way
-/// whose RRPV is [`RRIP_MAX`], aging the whole set until one exists. The
-/// iterate-and-age loop is folded into a closed form — age everyone by
-/// `RRIP_MAX - max(rrip)` in one pass; the first way that *was* at the
-/// maximum is exactly the way the stepwise loop would have found.
+/// LRU victim: the first invalid way, else the first way with the
+/// smallest stamp, as one branch-free min fold. A valid way keys on
+/// `(1, stamp, way)` and an invalid one on `(0, 0, way)`.
 #[inline]
-fn scan_victim(set: &mut ReplSet<'_>) -> usize {
-    if let Some(way) = set.words.iter().position(|&w| !word_is_valid(w)) {
-        return way;
+fn lru_victim(words: &[u64], stamps: &[u64]) -> usize {
+    let mut best = u128::MAX;
+    for (way, (&word, &stamp)) in words.iter().zip(stamps).enumerate() {
+        let valid = word_is_valid(word) as u128;
+        let key = (valid << 127) | ((stamp as u128 * valid) << 63) | way as u128;
+        best = best.min(key);
     }
-    let max = set.words.iter().map(|&w| word_rrip(w)).max().expect("cache sets are never empty");
-    let victim = set.words.iter().position(|&w| word_rrip(w) >= max).expect("max exists");
-    if max < RRIP_MAX {
-        // All ways age together until the closest one reaches RRIP_MAX.
-        // No saturation is needed: every counter is ≤ max, so counter +
-        // (RRIP_MAX - max) ≤ RRIP_MAX.
-        let age = RRIP_MAX - max;
-        for w in set.words.iter_mut() {
-            *w = word_with_rrip(*w, word_rrip(*w) + age);
-        }
+    (best as u64 & (u64::MAX >> 1)) as usize
+}
+
+/// SRRIP victim over a set's lane word: the first invalid way, else the
+/// first way at the highest RRPV present, ageing every lane by
+/// `RRIP_MAX - max` — exactly where the stepwise age-and-rescan loop
+/// stops, with the same victim.
+#[inline]
+fn srrip_victim(lanes: &mut u64, ways: usize) -> usize {
+    let ones = lane_ones(ways);
+    let invalid = *lanes & (ones << 2);
+    if invalid != 0 {
+        return (invalid.trailing_zeros() / LANE_BITS) as usize;
     }
-    victim
+    let low = *lanes & ones;
+    let high = (*lanes >> 1) & ones;
+    let (at_max, age) = if low & high != 0 {
+        (low & high, 0)
+    } else if high != 0 {
+        (high, 1)
+    } else if low != 0 {
+        (low, 2)
+    } else {
+        (ones, 3)
+    };
+    *lanes += age * ones;
+    (at_max.trailing_zeros() / LANE_BITS) as usize
 }
 
 #[cfg(test)]
@@ -224,10 +312,12 @@ mod tests {
     const PRESSURE: ReplacementCtx = ReplacementCtx { l2_tlb_mpki: 10.0, l2_cache_mpki: 0.0 };
     const CALM: ReplacementCtx = ReplacementCtx { l2_tlb_mpki: 0.0, l2_cache_mpki: 0.0 };
 
-    /// A free-standing set for driving policies directly in tests.
+    /// A free-standing set for driving policies directly in tests: every
+    /// way valid at RRPV 0 until a test says otherwise.
     struct TestSet {
         words: Vec<u64>,
         lru: Vec<u64>,
+        lanes: [u64; 1],
     }
 
     impl TestSet {
@@ -239,19 +329,25 @@ mod tests {
                     .map(|(i, &k)| pack_word(i as u64, k, Asid::new(1), PageSize::Size4K))
                     .collect(),
                 lru: vec![0; kinds.len()],
+                lanes: [0],
             }
         }
 
         fn view(&mut self) -> ReplSet<'_> {
-            ReplSet { words: &mut self.words, lru: &mut self.lru }
+            ReplSet { words: &self.words, lru: &mut self.lru, lanes: &mut self.lanes }
         }
 
         fn rrip(&self, way: usize) -> u8 {
-            word_rrip(self.words[way])
+            lane(self.lanes[0], way)
         }
 
         fn set_rrip(&mut self, way: usize, r: u8) {
-            self.words[way] = word_with_rrip(self.words[way], r);
+            self.lanes[0] = with_lane(self.lanes[0], way, r);
+        }
+
+        fn invalidate(&mut self, way: usize) {
+            self.words[way] = INVALID_WORD;
+            self.lanes[0] = with_lane(self.lanes[0], way, LANE_INVALID);
         }
     }
 
@@ -260,7 +356,12 @@ mod tests {
         let mut lru = Policy::lru();
         let mut set = TestSet::new(&[BlockKind::Data; 4]);
         set.words[2] = INVALID_WORD;
-        assert_eq!(lru.choose_victim(&mut set.view(), &CALM), 2);
+        assert_eq!(lru.choose_victim(&mut set.view(), &CALM), 2, "valid ways at stamp 0 still lose");
+        set.words[3] = INVALID_WORD;
+        for way in 0..4 {
+            lru.on_hit(&mut set.view(), way, &CALM);
+        }
+        assert_eq!(lru.choose_victim(&mut set.view(), &CALM), 2, "the first invalid way, whatever its stamp");
     }
 
     #[test]
@@ -383,9 +484,45 @@ mod tests {
     #[test]
     fn invalid_ways_win_immediately() {
         let mut p = Policy::tlb_aware_srrip();
-        let mut set = TestSet::new(&[BlockKind::Data, BlockKind::Data]);
-        set.words[1] = INVALID_WORD;
+        let mut set = TestSet::new(&[BlockKind::Data, BlockKind::Data, BlockKind::Data]);
+        set.set_rrip(0, RRIP_MAX);
+        set.invalidate(1);
+        set.invalidate(2);
         assert_eq!(p.choose_victim(&mut set.view(), &PRESSURE), 1);
+        assert_eq!(set.rrip(0), RRIP_MAX, "no ageing when an invalid way exists");
+        p.on_fill(&mut set.view(), 1, &CALM);
+        assert_eq!(set.rrip(1), RRIP_INSERT, "a fill overwrites the invalid lane");
+        assert_eq!(p.choose_victim(&mut set.view(), &PRESSURE), 2);
+    }
+
+    #[test]
+    fn lane_masks_follow_the_way_count() {
+        for ways in 1..=MAX_LANE_WAYS {
+            let ones = lane_ones(ways);
+            assert_eq!(ones.count_ones() as usize, ways);
+            assert_eq!((0..ways).map(|w| lane(empty_lanes(ways), w)).max(), Some(LANE_INVALID));
+            // A full set whose last way alone sits at RRPV 1: it is the
+            // victim, and the add ages every lane by 2 without carrying.
+            let lanes = with_lane(0, ways - 1, 1);
+            let mut aged = lanes;
+            assert_eq!(srrip_victim(&mut aged, ways), ways - 1, "{ways} ways");
+            assert_eq!(aged, lanes + 2 * ones);
+            assert_eq!(lane(aged, ways - 1), RRIP_MAX);
+        }
+    }
+
+    #[test]
+    fn tlb_retry_takes_the_first_data_way_at_max() {
+        let mut p = Policy::tlb_aware_srrip();
+        let kinds = [BlockKind::Tlb, BlockKind::Tlb, BlockKind::Data, BlockKind::Data, BlockKind::Data];
+        let mut set = TestSet::new(&kinds);
+        for (way, r) in [2u8, 1, 1, 2, 2].into_iter().enumerate() {
+            set.set_rrip(way, r);
+        }
+        // Ageing by 1 puts ways 0, 3 and 4 at RRIP_MAX; the scan finds the
+        // TLB way 0 first and the retry diverts to data way 3.
+        assert_eq!(p.choose_victim(&mut set.view(), &PRESSURE), 3);
+        assert_eq!((0..5).map(|w| set.rrip(w)).collect::<Vec<_>>(), vec![3, 2, 2, 3, 3]);
     }
 
     #[test]
