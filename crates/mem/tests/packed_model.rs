@@ -3,11 +3,15 @@
 //!
 //! The reference model stores one fat struct per way and scans/updates it
 //! exactly the way the pre-packing implementation did (linear `matches`
-//! scans, policy state in the block structs). Both models are driven with
-//! the same SplitMix64-seeded stream of accesses, typed probes, fills and
-//! invalidations — 100K+ operations per policy — and must produce
-//! identical hit/miss results, identical eviction reports and identical
-//! statistics at every step.
+//! scans, policy state in the block structs, stepwise SRRIP ageing). Both
+//! models are driven with the same SplitMix64-seeded stream of accesses,
+//! typed probes, fills and invalidations — 100K operations per policy and
+//! associativity (2, 8 and 16 ways: the SRRIP lane masks depend on the
+//! way count) — and must produce identical hit/miss results, identical
+//! eviction reports and identical statistics at every step. Every 10K
+//! operations the packed cache is checkpointed, restored into a fresh
+//! cache, and the run continues on the restored copy. The `#[ignore]`d
+//! case runs 1M operations per policy and associativity (release CI).
 
 use mem_sim::{BlockKind, Cache, CacheConfig, CacheStats, EvictedBlock, Policy, ReplacementCtx};
 use vm_types::{Asid, PageSize, PhysAddr, SplitMix64};
@@ -307,23 +311,62 @@ fn assert_same_eviction(packed: Option<EvictedBlock>, reference: Option<RefBlock
     }
 }
 
-/// Drives both models with one op stream and checks every observable.
-fn run_differential(policy_name: &str, ops: u64, seed: u64) {
-    let cfg = CacheConfig { name: "DUT", size_bytes: 64 << 10, ways: 8, block_bytes: 64, latency: 1 };
-    let (policy, rp) = match policy_name {
+/// The associativities every differential run covers.
+const WAYS: [usize; 3] = [2, 8, 16];
+
+/// Operations between two checkpoint round trips of the packed cache.
+const RESTORE_EVERY: u64 = 10_000;
+
+/// The packed policy and its reference twin for a policy name.
+fn policies(policy_name: &str) -> (Policy, RefPolicy) {
+    match policy_name {
         "lru" => (Policy::lru(), RefPolicy::Lru),
         "srrip" => (Policy::srrip(), RefPolicy::Srrip),
         _ => (Policy::tlb_aware_srrip(), RefPolicy::TlbAware),
-    };
+    }
+}
+
+/// Saves `dut`'s state and restores it into a fresh cache of the same
+/// geometry and policy, carrying the statistics over (they are not part
+/// of a checkpoint).
+fn round_trip(dut: &Cache, policy_name: &str) -> Cache {
+    let mut words = Vec::new();
+    dut.save_state(&mut words);
+    let mut fresh = Cache::new(dut.config().clone(), policies(policy_name).0);
+    fresh.restore_state(&words).expect("same geometry");
+    fresh.stats = dut.stats.clone();
+    fresh.assert_packed_consistency();
+    let mut again = Vec::new();
+    fresh.save_state(&mut again);
+    assert_eq!(words, again, "{policy_name}: a restored cache must save the same words");
+    fresh
+}
+
+/// Runs the differential at every associativity in [`WAYS`].
+fn run_differential(policy_name: &str, ops: u64, seed: u64) {
+    for ways in WAYS {
+        run_differential_ways(policy_name, ways, ops, seed ^ ways as u64);
+    }
+}
+
+/// Drives both models with one op stream and checks every observable.
+fn run_differential_ways(policy_name: &str, ways: usize, ops: u64, seed: u64) {
+    let cfg = CacheConfig { name: "DUT", size_bytes: 64 << 10, ways, block_bytes: 64, latency: 1 };
+    let (policy, rp) = policies(policy_name);
     let mut dut = Cache::new(cfg, policy);
-    let mut model = RefCache::new(64 << 10, 8, rp);
+    let mut model = RefCache::new(64 << 10, ways, rp);
     let sets = dut.num_sets();
+    let label = format!("{policy_name}/{ways}-way");
 
     let mut rng = SplitMix64::new(seed);
     // Alternate pressure regimes so the TLB-aware arms both fire.
     let contexts = [ReplacementCtx::default(), ReplacementCtx { l2_tlb_mpki: 10.0, l2_cache_mpki: 2.0 }];
 
     for op in 0..ops {
+        if op > 0 && op % RESTORE_EVERY == 0 {
+            dut.assert_packed_consistency();
+            dut = round_trip(&dut, policy_name);
+        }
         let ctx = contexts[(op / 1000 % 2) as usize];
         // Addresses over 4x the cache: plenty of conflict misses.
         let pa = rng.next_below(4 * (64 << 10)) & !63;
@@ -371,7 +414,7 @@ fn run_differential(policy_name: &str, ops: u64, seed: u64) {
             90..=94 => {
                 assert_eq!(
                     dut.contains_data(PhysAddr::new(pa)),
-                    (0..8).any(|w| model.blocks[model.data_set(pa) * 8 + w].matches(
+                    (0..ways).any(|w| model.blocks[model.data_set(pa) * ways + w].matches(
                         model.data_tag(pa),
                         BlockKind::Data,
                         Asid::KERNEL,
@@ -388,7 +431,8 @@ fn run_differential(policy_name: &str, ops: u64, seed: u64) {
             }
         }
     }
-    assert_stats(&model, &dut.stats, dut.translation_block_count(), policy_name);
+    dut.assert_packed_consistency();
+    assert_stats(&model, &dut.stats, dut.translation_block_count(), &label);
 
     // Final population must agree block for block.
     let key =
@@ -398,7 +442,7 @@ fn run_differential(policy_name: &str, ops: u64, seed: u64) {
         model.blocks.iter().filter(|b| b.valid).map(|b| key(b.tag, b.kind, b.asid, b.size)).collect();
     packed.sort_unstable();
     reference.sort_unstable();
-    assert_eq!(packed, reference, "{policy_name}: final populations diverged");
+    assert_eq!(packed, reference, "{label}: final populations diverged");
 }
 
 #[test]
@@ -414,4 +458,14 @@ fn packed_cache_matches_reference_model_srrip() {
 #[test]
 fn packed_cache_matches_reference_model_tlb_aware() {
     run_differential("tlb-aware", 100_000, 0xCAFE_0003);
+}
+
+/// The same differential at 1M operations per policy and associativity:
+/// too slow for the debug tier-1 run, so release CI runs it.
+#[test]
+#[ignore]
+fn packed_cache_matches_reference_model_long() {
+    for (policy_name, seed) in [("lru", 0xCAFE_1001), ("srrip", 0xCAFE_1002), ("tlb-aware", 0xCAFE_1003)] {
+        run_differential(policy_name, 1_000_000, seed);
+    }
 }

@@ -4,9 +4,10 @@
 //! The reference stores fat entries only and scans them with full field
 //! compares, exactly like the pre-packing implementation. Both models are
 //! driven with the same SplitMix64-seeded stream of probes, fills and
-//! invalidations — 100K operations — and must report identical hits
-//! (including frames and counter snapshots), identical displaced entries
-//! and identical invalidation results.
+//! invalidations — 100K operations, 1M in the `#[ignore]`d case release
+//! CI runs — and must report identical hits (including frames and counter
+//! snapshots), identical displaced entries and identical invalidation
+//! results.
 
 use tlb_sim::{SetAssocTlb, TlbConfig, TlbEntry};
 use vm_types::{Asid, PageSize, SplitMix64};
@@ -124,12 +125,25 @@ impl RefTlb {
 
 #[test]
 fn packed_tlb_matches_reference_model() {
+    run_differential(100_000, 0xBEEF_2024);
+}
+
+/// The same differential at 1M operations: too slow for the debug tier-1
+/// run, so release CI runs it.
+#[test]
+#[ignore]
+fn packed_tlb_matches_reference_model_long() {
+    run_differential(1_000_000, 0xBEEF_2025);
+}
+
+/// Drives both models with one op stream and checks every observable.
+fn run_differential(ops: u64, seed: u64) {
     // The paper's L2 TLB shape: 1536 entries, 12-way.
     let mut dut = SetAssocTlb::new(TlbConfig { name: "DUT", entries: 1536, ways: 12, latency: 1 });
     let mut model = RefTlb::new(1536, 12);
-    let mut rng = SplitMix64::new(0xBEEF_2024);
+    let mut rng = SplitMix64::new(seed);
 
-    for op in 0..100_000u64 {
+    for op in 0..ops {
         // VPNs over ~4x the TLB reach; a few ASIDs; both page sizes.
         let vpn = rng.next_below(6000);
         let asid = Asid::new(1 + (rng.next_below(3) as u16));
