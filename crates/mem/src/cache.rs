@@ -569,9 +569,9 @@ impl Cache {
 
     /// Consistency check (tests): the translation-block counter must
     /// match the packed population, resident words carry zero RRPV bits,
-    /// and in an SRRIP-family cache a way's lane reads
-    /// [`LANE_INVALID`] exactly when its word is invalid (and an RRPV
-    /// otherwise), with every lane past the last way zero.
+    /// and in an SRRIP-family cache a way's lane marks it invalid exactly
+    /// when its word is invalid (and holds an RRPV otherwise), with every
+    /// lane past the last way zero.
     pub fn assert_packed_consistency(&self) {
         let translations = self.words.iter().filter(|&&w| word_is_translation(w)).count();
         assert_eq!(translations, self.translation_blocks, "translation block count diverged");

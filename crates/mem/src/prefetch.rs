@@ -167,7 +167,7 @@ impl StreamPrefetcher {
 
     /// Blocks prefetched per confident advance: the most candidates one
     /// [`StreamPrefetcher::train_into`] call appends.
-    pub fn degree(&self) -> usize {
+    pub(crate) fn degree(&self) -> usize {
         self.degree
     }
 

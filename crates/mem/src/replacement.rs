@@ -11,10 +11,10 @@
 //!
 //! The SRRIP family keeps one `u64` per set: way `w`'s re-reference
 //! prediction value (RRPV) sits in the 3-bit *lane* at bits
-//! `[3w + 2 : 3w]`. A lane of 0–3 is the RRPV of a valid way and
-//! [`LANE_INVALID`] (4) marks an invalid way; lanes past the set's last
-//! way stay 0, so at most [`MAX_LANE_WAYS`] ways fit. With `ones` the
-//! word holding a 1 in every way's lane:
+//! `[3w + 2 : 3w]`. A lane of 0–3 is the RRPV of a valid way and 4
+//! marks an invalid way; lanes past the set's last way stay 0, and at
+//! most 21 ways fit. With `ones` the word holding a 1 in the low bit of
+//! every way's lane:
 //!
 //! - the invalid ways are `lanes & (ones << 2)`, and the victim is the
 //!   lowest of them;
@@ -45,38 +45,38 @@ pub const RRIP_MAX: u8 = 3;
 pub const RRIP_INSERT: u8 = 2;
 
 /// The lane value of an invalid way.
-pub const LANE_INVALID: u8 = 4;
+pub(crate) const LANE_INVALID: u8 = 4;
 
 /// Width of one way's lane in a set's lane word.
 const LANE_BITS: u32 = 3;
 
 /// Most ways one lane word holds (21 lanes of 3 bits).
-pub const MAX_LANE_WAYS: usize = (u64::BITS / LANE_BITS) as usize;
+pub(crate) const MAX_LANE_WAYS: usize = (u64::BITS / LANE_BITS) as usize;
 
-/// A 1 in the low bit of each of the [`MAX_LANE_WAYS`] lanes.
+/// A 1 in the low bit of each of the `MAX_LANE_WAYS` lanes.
 const ALL_LANE_ONES: u64 = 0x1249_2492_4924_9249;
 
 /// A 1 in the low bit of each of the first `ways` lanes.
 #[inline]
-pub const fn lane_ones(ways: usize) -> u64 {
+pub(crate) const fn lane_ones(ways: usize) -> u64 {
     ALL_LANE_ONES >> (LANE_BITS as usize * (MAX_LANE_WAYS - ways))
 }
 
 /// The lane word of a set whose `ways` ways are all invalid.
 #[inline]
-pub const fn empty_lanes(ways: usize) -> u64 {
+pub(crate) const fn empty_lanes(ways: usize) -> u64 {
     lane_ones(ways) * LANE_INVALID as u64
 }
 
 /// Way `way`'s lane in a set's lane word.
 #[inline]
-pub const fn lane(lanes: u64, way: usize) -> u8 {
+pub(crate) const fn lane(lanes: u64, way: usize) -> u8 {
     ((lanes >> (LANE_BITS as usize * way)) & 0b111) as u8
 }
 
 /// Returns `lanes` with way `way`'s lane replaced by `value`.
 #[inline]
-pub const fn with_lane(lanes: u64, way: usize, value: u8) -> u64 {
+pub(crate) const fn with_lane(lanes: u64, way: usize, value: u8) -> u64 {
     let shift = LANE_BITS as usize * way;
     (lanes & !(0b111 << shift)) | ((value as u64) << shift)
 }
@@ -176,7 +176,7 @@ impl Policy {
 
     /// Whether the policy keeps per-way LRU stamps (else SRRIP lanes).
     #[inline]
-    pub fn is_lru(&self) -> bool {
+    pub(crate) fn is_lru(&self) -> bool {
         matches!(self, Policy::Lru { .. })
     }
 
