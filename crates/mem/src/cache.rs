@@ -32,9 +32,7 @@ use crate::block::{
     word_is_valid, word_kind, word_prefetched, word_reuse, word_rrip, word_set_dirty, word_size, word_tag,
     word_with_rrip, BlockKind, CacheBlock, INVALID_WORD, WORD_KEY_MASK, WORD_RRIP_MASK,
 };
-use crate::replacement::{
-    empty_lanes, lane, with_lane, Policy, ReplSet, ReplacementCtx, LANE_INVALID, MAX_LANE_WAYS,
-};
+use crate::replacement::{empty_lanes, lane, with_lane, Policy, ReplacementCtx, LANE_INVALID, MAX_LANE_WAYS};
 use vm_types::{Asid, Cycles, PageSize, PhysAddr, ReuseHistogram};
 
 /// Geometry and latency of one cache.
@@ -160,8 +158,8 @@ impl Cache {
         let block_shift = cfg.block_bytes.trailing_zeros();
         let lru = policy.is_lru();
         assert!(
-            lru || cfg.ways <= MAX_LANE_WAYS,
-            "{}: SRRIP lanes hold at most {MAX_LANE_WAYS} ways",
+            cfg.ways <= MAX_LANE_WAYS,
+            "{}: replacement state holds at most {MAX_LANE_WAYS} ways",
             cfg.name
         );
         Self {
@@ -256,31 +254,26 @@ impl Cache {
         }
     }
 
-    /// Splits out set `set`'s replacement view alongside the policy (the
+    /// Splits out the policy and way `way` of set `set`'s replacement
+    /// metadata word: its LRU stamp, or the set's SRRIP lane word (the
     /// borrows are disjoint fields, which the compiler can only see inside
     /// a single function body).
     #[inline]
-    fn set_repl(&mut self, set: usize) -> (ReplSet<'_>, &mut Policy) {
-        let start = set * self.cfg.ways;
-        let end = start + self.cfg.ways;
-        // Each cache allocates either stamps or lanes; hand the policy an
-        // empty window for the other (it never indexes it).
-        let (lru_range, lane_range) =
-            if self.lanes.is_empty() { (start..end, 0..0) } else { (0..0, set..set + 1) };
-        let view = ReplSet {
-            words: &self.words[start..end],
-            lru: &mut self.lru[lru_range],
-            lanes: &mut self.lanes[lane_range],
+    fn repl(&mut self, set: usize, way: usize) -> (&mut Policy, &mut u64) {
+        let meta = if self.lanes.is_empty() {
+            &mut self.lru[set * self.cfg.ways + way]
+        } else {
+            &mut self.lanes[set]
         };
-        (view, &mut self.policy)
+        (&mut self.policy, meta)
     }
 
     /// Invalidates way `way` of set `set`.
     #[inline]
     fn invalidate_way(&mut self, set: usize, way: usize) {
         self.words[set * self.cfg.ways + way] = INVALID_WORD;
-        let (mut view, policy) = self.set_repl(set);
-        policy.on_invalidate(&mut view, way);
+        let (policy, meta) = self.repl(set, way);
+        policy.on_invalidate(meta, way);
     }
 
     /// Demand data access. Returns `true` on hit and updates replacement /
@@ -297,8 +290,9 @@ impl Cache {
                 if write {
                     *word = word_set_dirty(*word);
                 }
-                let (mut view, policy) = self.set_repl(set);
-                policy.on_hit(&mut view, w, ctx);
+                let word = *word;
+                let (policy, meta) = self.repl(set, w);
+                policy.on_hit(meta, w, word, ctx);
                 true
             }
             None => {
@@ -346,8 +340,9 @@ impl Cache {
             Some(w) => {
                 let word = &mut self.words[start + w];
                 *word = word_bump_reuse(*word);
-                let (mut view, policy) = self.set_repl(set);
-                policy.on_hit(&mut view, w, ctx);
+                let word = *word;
+                let (policy, meta) = self.repl(set, w);
+                policy.on_hit(meta, w, word, ctx);
                 true
             }
             None => false,
@@ -398,9 +393,14 @@ impl Cache {
         // (lookups with overflowing tags simply miss).
         assert!(tag < 1 << crate::block::WORD_TAG_BITS, "{}: tag overflows the presence word", self.cfg.name);
         let start = set * self.cfg.ways;
+        let end = start + self.cfg.ways;
         let victim_way = {
-            let (mut view, policy) = self.set_repl(set);
-            policy.choose_victim(&mut view, ctx)
+            // Each cache allocates either stamps or lanes; the policy never
+            // reads the other.
+            let mut no_lanes = 0;
+            let lanes = self.lanes.get_mut(set).unwrap_or(&mut no_lanes);
+            let stamps = self.lru.get(start..end).unwrap_or(&[]);
+            self.policy.choose_victim(&self.words[start..end], stamps, lanes, ctx)
         };
         let victim = start + victim_way;
         let evicted = word_is_valid(self.words[victim]).then(|| {
@@ -417,8 +417,9 @@ impl Cache {
         } else {
             self.stats.fills += 1;
         }
-        let (mut view, policy) = self.set_repl(set);
-        policy.on_fill(&mut view, victim_way, ctx);
+        let word = self.words[victim];
+        let (policy, meta) = self.repl(set, victim_way);
+        policy.on_fill(meta, victim_way, word, ctx);
         evicted
     }
 

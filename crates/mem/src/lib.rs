@@ -38,4 +38,4 @@ pub use cache::{Cache, CacheConfig, CacheStats, EvictedBlock};
 pub use dram::{Dram, DramConfig};
 pub use hierarchy::{AccessResult, Hierarchy, HierarchyConfig, MemClass, MemLevel, SharedLlc};
 pub use prefetch::{IpStridePrefetcher, StreamPrefetcher};
-pub use replacement::{Policy, ReplSet, ReplacementCtx, RRIP_INSERT, RRIP_MAX};
+pub use replacement::{Policy, ReplacementCtx, RRIP_INSERT, RRIP_MAX};

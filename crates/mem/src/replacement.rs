@@ -114,22 +114,11 @@ impl ReplacementCtx {
     }
 }
 
-/// One set's replacement view: the packed presence words, the LRU stamps
-/// and the SRRIP lane word.
-#[derive(Debug)]
-pub struct ReplSet<'a> {
-    /// Packed presence words, one per way (see [`crate::block`]).
-    /// Policies read validity and kind from them.
-    pub words: &'a [u64],
-    /// LRU stamps, one per way (empty for SRRIP-family caches).
-    pub lru: &'a mut [u64],
-    /// The set's lane word: a one-element window for SRRIP-family
-    /// caches, empty for LRU caches.
-    pub lanes: &'a mut [u64],
-}
-
 /// A statically dispatched cache replacement policy. One value serves one
 /// cache; the only policy-global state is LRU's monotonic tick.
+///
+/// The per-way hooks take the way's *metadata word* `meta`: its LRU stamp
+/// in an LRU cache, or its set's lane word in an SRRIP-family cache.
 #[derive(Clone, Debug)]
 pub enum Policy {
     /// Least-recently-used (the L1 caches).
@@ -180,78 +169,86 @@ impl Policy {
         matches!(self, Policy::Lru { .. })
     }
 
-    /// Called after `way` has been (re)filled.
+    /// Called after `way` has been (re)filled with presence word `word`.
     #[inline]
-    pub fn on_fill(&mut self, set: &mut ReplSet<'_>, way: usize, ctx: &ReplacementCtx) {
+    pub fn on_fill(&mut self, meta: &mut u64, way: usize, word: u64, ctx: &ReplacementCtx) {
         let rrpv = match self {
             Policy::Lru { tick } => {
                 *tick += 1;
-                set.lru[way] = *tick;
+                *meta = *tick;
                 return;
             }
             Policy::Srrip => RRIP_INSERT,
             Policy::TlbAwareSrrip => {
-                if word_is_translation(set.words[way]) && ctx.tlb_pressure_high() {
+                if word_is_translation(word) && ctx.tlb_pressure_high() {
                     0
                 } else {
                     RRIP_INSERT
                 }
             }
         };
-        set.lanes[0] = with_lane(set.lanes[0], way, rrpv);
+        *meta = with_lane(*meta, way, rrpv);
     }
 
-    /// Called when `way` hits.
+    /// Called when `way`, holding presence word `word`, hits.
     #[inline]
-    pub fn on_hit(&mut self, set: &mut ReplSet<'_>, way: usize, ctx: &ReplacementCtx) {
+    pub fn on_hit(&mut self, meta: &mut u64, way: usize, word: u64, ctx: &ReplacementCtx) {
         let promote = match self {
             Policy::Lru { tick } => {
                 *tick += 1;
-                set.lru[way] = *tick;
+                *meta = *tick;
                 return;
             }
             Policy::Srrip => 1,
             Policy::TlbAwareSrrip => {
-                if word_is_translation(set.words[way]) && ctx.tlb_pressure_high() {
+                if word_is_translation(word) && ctx.tlb_pressure_high() {
                     3
                 } else {
                     1
                 }
             }
         };
-        let lanes = set.lanes[0];
-        set.lanes[0] = with_lane(lanes, way, lane(lanes, way).saturating_sub(promote));
+        // A valid way's lane is its RRPV, so this subtraction cannot
+        // borrow from the next lane.
+        *meta -= (lane(*meta, way).min(promote) as u64) << (LANE_BITS as usize * way);
     }
 
     /// Called after `way` has been invalidated.
     #[inline]
-    pub fn on_invalidate(&self, set: &mut ReplSet<'_>, way: usize) {
+    pub fn on_invalidate(&self, meta: &mut u64, way: usize) {
         if !self.is_lru() {
-            set.lanes[0] = with_lane(set.lanes[0], way, LANE_INVALID);
+            *meta = with_lane(*meta, way, LANE_INVALID);
         }
     }
 
-    /// Chooses a victim way. May mutate replacement metadata (the SRRIP
-    /// family ages the whole set). Invalid ways are preferred.
+    /// Chooses a victim way of a set with presence words `words`, LRU
+    /// stamps `stamps` (empty for the SRRIP family) and lane word `lanes`
+    /// (unused by LRU). The SRRIP family ages the set's lanes. Invalid
+    /// ways are preferred.
     #[inline]
-    pub fn choose_victim(&mut self, set: &mut ReplSet<'_>, ctx: &ReplacementCtx) -> usize {
+    pub fn choose_victim(
+        &mut self,
+        words: &[u64],
+        stamps: &[u64],
+        lanes: &mut u64,
+        ctx: &ReplacementCtx,
+    ) -> usize {
         match self {
-            Policy::Lru { .. } => lru_victim(set.words, set.lru),
-            Policy::Srrip => srrip_victim(&mut set.lanes[0], set.words.len()),
+            Policy::Lru { .. } => lru_victim(words, stamps),
+            Policy::Srrip => srrip_victim(lanes, words.len()),
             Policy::TlbAwareSrrip => {
-                let way = srrip_victim(&mut set.lanes[0], set.words.len());
-                if word_is_translation(set.words[way]) && ctx.tlb_pressure_high() {
+                let way = srrip_victim(lanes, words.len());
+                if word_is_translation(words[way]) && ctx.tlb_pressure_high() {
                     // One more attempt (Listing 1 line 23): prefer the
                     // first non-TLB block that has also aged to RRIP_MAX.
                     // The set is full here (an invalid victim is never a
                     // translation), so every lane is an RRPV. If no such
                     // block exists, the TLB block is evicted (and dropped,
                     // not written back).
-                    let lanes = set.lanes[0];
-                    let mut at_max = lanes & (lanes >> 1) & lane_ones(set.words.len());
+                    let mut at_max = *lanes & (*lanes >> 1) & lane_ones(words.len());
                     while at_max != 0 {
                         let alt = (at_max.trailing_zeros() / LANE_BITS) as usize;
-                        if !word_is_translation(set.words[alt]) {
+                        if !word_is_translation(words[alt]) {
                             return alt;
                         }
                         at_max &= at_max - 1;
@@ -264,17 +261,18 @@ impl Policy {
 }
 
 /// LRU victim: the first invalid way, else the first way with the
-/// smallest stamp, as one branch-free min fold. A valid way keys on
-/// `(1, stamp, way)` and an invalid one on `(0, 0, way)`.
+/// smallest stamp, as one branch-free min fold over `valid << 63 |
+/// stamp << 8 | way` keys, in which an invalid way's stamp reads 0.
+/// Stamps count the cache's accesses, so they stay far below the 2^55
+/// the key holds, and a set has at most [`MAX_LANE_WAYS`] ways.
 #[inline]
 fn lru_victim(words: &[u64], stamps: &[u64]) -> usize {
-    let mut best = u128::MAX;
+    let mut best = u64::MAX;
     for (way, (&word, &stamp)) in words.iter().zip(stamps).enumerate() {
-        let valid = word_is_valid(word) as u128;
-        let key = (valid << 127) | ((stamp as u128 * valid) << 63) | way as u128;
-        best = best.min(key);
+        let valid = word_is_valid(word) as u64;
+        best = best.min((valid << 63) | ((stamp << 8) & valid.wrapping_neg()) | way as u64);
     }
-    (best as u64 & (u64::MAX >> 1)) as usize
+    (best & 0xff) as usize
 }
 
 /// SRRIP victim over a set's lane word: the first invalid way, else the
@@ -317,7 +315,7 @@ mod tests {
     struct TestSet {
         words: Vec<u64>,
         lru: Vec<u64>,
-        lanes: [u64; 1],
+        lanes: u64,
     }
 
     impl TestSet {
@@ -329,25 +327,44 @@ mod tests {
                     .map(|(i, &k)| pack_word(i as u64, k, Asid::new(1), PageSize::Size4K))
                     .collect(),
                 lru: vec![0; kinds.len()],
-                lanes: [0],
+                lanes: 0,
             }
         }
 
-        fn view(&mut self) -> ReplSet<'_> {
-            ReplSet { words: &self.words, lru: &mut self.lru, lanes: &mut self.lanes }
+        /// Way `way`'s metadata word under policy `p`.
+        fn meta(&mut self, p: &Policy, way: usize) -> &mut u64 {
+            if p.is_lru() {
+                &mut self.lru[way]
+            } else {
+                &mut self.lanes
+            }
+        }
+
+        fn fill(&mut self, p: &mut Policy, way: usize, ctx: &ReplacementCtx) {
+            let word = self.words[way];
+            p.on_fill(self.meta(p, way), way, word, ctx);
+        }
+
+        fn hit(&mut self, p: &mut Policy, way: usize, ctx: &ReplacementCtx) {
+            let word = self.words[way];
+            p.on_hit(self.meta(p, way), way, word, ctx);
+        }
+
+        fn victim(&mut self, p: &mut Policy, ctx: &ReplacementCtx) -> usize {
+            p.choose_victim(&self.words, &self.lru, &mut self.lanes, ctx)
         }
 
         fn rrip(&self, way: usize) -> u8 {
-            lane(self.lanes[0], way)
+            lane(self.lanes, way)
         }
 
         fn set_rrip(&mut self, way: usize, r: u8) {
-            self.lanes[0] = with_lane(self.lanes[0], way, r);
+            self.lanes = with_lane(self.lanes, way, r);
         }
 
         fn invalidate(&mut self, way: usize) {
             self.words[way] = INVALID_WORD;
-            self.lanes[0] = with_lane(self.lanes[0], way, LANE_INVALID);
+            Policy::srrip().on_invalidate(&mut self.lanes, way);
         }
     }
 
@@ -356,12 +373,12 @@ mod tests {
         let mut lru = Policy::lru();
         let mut set = TestSet::new(&[BlockKind::Data; 4]);
         set.words[2] = INVALID_WORD;
-        assert_eq!(lru.choose_victim(&mut set.view(), &CALM), 2, "valid ways at stamp 0 still lose");
+        assert_eq!(set.victim(&mut lru, &CALM), 2, "valid ways at stamp 0 still lose");
         set.words[3] = INVALID_WORD;
         for way in 0..4 {
-            lru.on_hit(&mut set.view(), way, &CALM);
+            set.hit(&mut lru, way, &CALM);
         }
-        assert_eq!(lru.choose_victim(&mut set.view(), &CALM), 2, "the first invalid way, whatever its stamp");
+        assert_eq!(set.victim(&mut lru, &CALM), 2, "the first invalid way, whatever its stamp");
     }
 
     #[test]
@@ -369,19 +386,19 @@ mod tests {
         let mut lru = Policy::lru();
         let mut set = TestSet::new(&[BlockKind::Data; 4]);
         for way in [0, 1, 2, 3, 0, 1, 3] {
-            lru.on_hit(&mut set.view(), way, &CALM);
+            set.hit(&mut lru, way, &CALM);
         }
         // Way 2 was touched least recently.
-        assert_eq!(lru.choose_victim(&mut set.view(), &CALM), 2);
+        assert_eq!(set.victim(&mut lru, &CALM), 2);
     }
 
     #[test]
     fn srrip_inserts_long_and_promotes_on_hit() {
         let mut p = Policy::srrip();
         let mut set = TestSet::new(&[BlockKind::Data; 2]);
-        p.on_fill(&mut set.view(), 0, &CALM);
+        set.fill(&mut p, 0, &CALM);
         assert_eq!(set.rrip(0), RRIP_INSERT);
-        p.on_hit(&mut set.view(), 0, &CALM);
+        set.hit(&mut p, 0, &CALM);
         assert_eq!(set.rrip(0), RRIP_INSERT - 1);
     }
 
@@ -390,7 +407,7 @@ mod tests {
         let mut p = Policy::srrip();
         let mut set = TestSet::new(&[BlockKind::Data; 4]);
         set.set_rrip(1, 2);
-        let victim = p.choose_victim(&mut set.view(), &CALM);
+        let victim = set.victim(&mut p, &CALM);
         assert_eq!(victim, 1, "the block closest to RRIP_MAX is aged there first");
         // Everyone has been aged by the same amount.
         assert!((0..4).all(|w| set.rrip(w) >= 1));
@@ -405,14 +422,14 @@ mod tests {
         for (way, r) in [1u8, 0, 2, 1].into_iter().enumerate() {
             set.set_rrip(way, r);
         }
-        assert_eq!(p.choose_victim(&mut set.view(), &CALM), 2);
+        assert_eq!(set.victim(&mut p, &CALM), 2);
         assert_eq!((0..4).map(|w| set.rrip(w)).collect::<Vec<_>>(), vec![2, 1, 3, 2]);
         // A way already at RRIP_MAX means no aging at all.
         let mut set = TestSet::new(&[BlockKind::Data; 3]);
         for (way, r) in [0u8, 3, 3].into_iter().enumerate() {
             set.set_rrip(way, r);
         }
-        assert_eq!(p.choose_victim(&mut set.view(), &CALM), 1, "first way at the max wins");
+        assert_eq!(set.victim(&mut p, &CALM), 1, "first way at the max wins");
         assert_eq!(set.rrip(0), 0, "no aging when a victim already exists");
     }
 
@@ -422,8 +439,8 @@ mod tests {
         let mut set = TestSet::new(&[BlockKind::Tlb, BlockKind::Data]);
         set.set_rrip(0, 3);
         set.set_rrip(1, 3);
-        p.on_fill(&mut set.view(), 0, &PRESSURE);
-        p.on_fill(&mut set.view(), 1, &PRESSURE);
+        set.fill(&mut p, 0, &PRESSURE);
+        set.fill(&mut p, 1, &PRESSURE);
         assert_eq!(set.rrip(0), 0);
         assert_eq!(set.rrip(1), RRIP_INSERT);
     }
@@ -432,7 +449,7 @@ mod tests {
     fn tlb_fill_without_pressure_is_ordinary() {
         let mut p = Policy::tlb_aware_srrip();
         let mut set = TestSet::new(&[BlockKind::Tlb]);
-        p.on_fill(&mut set.view(), 0, &CALM);
+        set.fill(&mut p, 0, &CALM);
         assert_eq!(set.rrip(0), RRIP_INSERT);
     }
 
@@ -442,8 +459,8 @@ mod tests {
         let mut set = TestSet::new(&[BlockKind::Tlb, BlockKind::Data]);
         set.set_rrip(0, 3);
         set.set_rrip(1, 3);
-        p.on_hit(&mut set.view(), 0, &PRESSURE);
-        p.on_hit(&mut set.view(), 1, &PRESSURE);
+        set.hit(&mut p, 0, &PRESSURE);
+        set.hit(&mut p, 1, &PRESSURE);
         assert_eq!(set.rrip(0), 0, "TLB promotion is -3");
         assert_eq!(set.rrip(1), 2, "data promotion is -1");
     }
@@ -456,11 +473,11 @@ mod tests {
         set.set_rrip(1, RRIP_MAX);
         // The scan finds way 0 (the TLB block) first; the second attempt
         // must divert to the data block.
-        assert_eq!(p.choose_victim(&mut set.view(), &PRESSURE), 1);
+        assert_eq!(set.victim(&mut p, &PRESSURE), 1);
         // Without pressure the TLB block is fair game.
         set.set_rrip(0, RRIP_MAX);
         set.set_rrip(1, RRIP_MAX);
-        assert_eq!(p.choose_victim(&mut set.view(), &CALM), 0);
+        assert_eq!(set.victim(&mut p, &CALM), 0);
     }
 
     #[test]
@@ -469,7 +486,7 @@ mod tests {
         let mut set = TestSet::new(&[BlockKind::Tlb, BlockKind::Tlb]);
         set.set_rrip(0, RRIP_MAX);
         set.set_rrip(1, 1);
-        assert_eq!(p.choose_victim(&mut set.view(), &PRESSURE), 0, "all-TLB set must still yield a victim");
+        assert_eq!(set.victim(&mut p, &PRESSURE), 0, "all-TLB set must still yield a victim");
     }
 
     #[test]
@@ -477,7 +494,7 @@ mod tests {
         let mut p = Policy::tlb_aware_srrip();
         let mut set = TestSet::new(&[BlockKind::NestedTlb]);
         set.set_rrip(0, 3);
-        p.on_fill(&mut set.view(), 0, &PRESSURE);
+        set.fill(&mut p, 0, &PRESSURE);
         assert_eq!(set.rrip(0), 0);
     }
 
@@ -488,11 +505,11 @@ mod tests {
         set.set_rrip(0, RRIP_MAX);
         set.invalidate(1);
         set.invalidate(2);
-        assert_eq!(p.choose_victim(&mut set.view(), &PRESSURE), 1);
+        assert_eq!(set.victim(&mut p, &PRESSURE), 1);
         assert_eq!(set.rrip(0), RRIP_MAX, "no ageing when an invalid way exists");
-        p.on_fill(&mut set.view(), 1, &CALM);
+        set.fill(&mut p, 1, &CALM);
         assert_eq!(set.rrip(1), RRIP_INSERT, "a fill overwrites the invalid lane");
-        assert_eq!(p.choose_victim(&mut set.view(), &PRESSURE), 2);
+        assert_eq!(set.victim(&mut p, &PRESSURE), 2);
     }
 
     #[test]
@@ -521,7 +538,7 @@ mod tests {
         }
         // Ageing by 1 puts ways 0, 3 and 4 at RRIP_MAX; the scan finds the
         // TLB way 0 first and the retry diverts to data way 3.
-        assert_eq!(p.choose_victim(&mut set.view(), &PRESSURE), 3);
+        assert_eq!(set.victim(&mut p, &PRESSURE), 3);
         assert_eq!((0..5).map(|w| set.rrip(w)).collect::<Vec<_>>(), vec![3, 2, 2, 3, 3]);
     }
 
