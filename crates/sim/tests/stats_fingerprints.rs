@@ -5,16 +5,16 @@
 //! - the stats hash, over `format!("{:?}", stats)` (every `SimStats`
 //!   counter, histogram and `f64`) followed by the Table 1 feature
 //!   dataset for feature-tracking runs;
-//! - the metric hash, over the metric snapshot, for native configs only
-//!   (the virtualised flows are free to gain metrics without
-//!   re-recording).
+//! - the metric hash, over the metric snapshot, for every config, native
+//!   and virtualised: the `sim.ptw.*` histograms and the PWC counts pin
+//!   the nested 2D walk as well as the radix walk.
 //!
-//! A refactor of the translation path must leave every stats hash
-//! unchanged; an intended behaviour change re-records them, and the
-//! `--check` baselines move with it. A change to what the `sim.*`
-//! metrics report re-records only the metric hashes.
+//! A refactor of the translation path must leave every stats hash and
+//! every metric hash unchanged; an intended behaviour change re-records
+//! them, and the `--check` baselines move with it. A change to what the
+//! `sim.*` metrics report re-records only the metric hashes.
 
-use sim::{ExecMode, ObsMode, RunSpec, SamplingConfig, SimEngine, SystemConfig};
+use sim::{ObsMode, RunSpec, SamplingConfig, SimEngine, SystemConfig};
 use workloads::Scale;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -27,21 +27,20 @@ fn fnv(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
-/// The stats hash and, for native configs, the metric hash of one run.
-fn fingerprint(spec: &RunSpec) -> (u64, Option<u64>) {
+/// The stats hash and the metric hash of one run.
+fn fingerprint(spec: &RunSpec) -> (u64, u64) {
     let r = SimEngine::run_one_observed(0, spec, ObsMode::Metrics);
     let mut stats = fnv(FNV_OFFSET, format!("{:?}", r.stats).as_bytes());
     if let Some(t) = &r.features {
         stats = fnv(stats, format!("{:?}", t.dataset(0.2)).as_bytes());
     }
-    let metrics = (spec.config.mode == ExecMode::Native)
-        .then(|| fnv(FNV_OFFSET, format!("{:?}", r.metrics.expect("metrics enabled")).as_bytes()));
+    let metrics = fnv(FNV_OFFSET, format!("{:?}", r.metrics.expect("metrics enabled")).as_bytes());
     (stats, metrics)
 }
 
-/// One case: a spec, its recorded stats hash and (native configs) its
-/// recorded metric hash.
-type Case = (RunSpec, u64, Option<u64>);
+/// One case: a spec, its recorded stats hash and its recorded metric
+/// hash.
+type Case = (RunSpec, u64, u64);
 
 fn assert_fingerprints(cases: &[Case]) {
     let mut drifted = Vec::new();
@@ -51,12 +50,9 @@ fn assert_fingerprints(cases: &[Case]) {
             drifted.push(format!("{} stats: expected {want_stats:#018x}, got {stats:#018x}", spec.label()));
         }
         if metrics != *want_metrics {
-            let hex = |h: Option<u64>| h.map_or("none".to_owned(), |h| format!("{h:#018x}"));
             drifted.push(format!(
-                "{} metrics: expected {}, got {}",
-                spec.label(),
-                hex(*want_metrics),
-                hex(metrics)
+                "{} metrics: expected {want_metrics:#018x}, got {metrics:#018x}",
+                spec.label()
             ));
         }
     }
@@ -80,13 +76,10 @@ fn config(key: &str) -> SystemConfig {
     }
 }
 
-/// The recorded metric hashes of `key`, which must exist exactly for
-/// native configs.
-fn metric_hashes<const N: usize>(table: &[(&str, [u64; N])], key: &str) -> Option<[u64; N]> {
-    let hashes = table.iter().find(|(k, _)| *k == key).map(|(_, h)| *h);
-    let native = config(key).mode == ExecMode::Native;
-    assert_eq!(hashes.is_some(), native, "{key}: metric hashes are recorded for native configs only");
-    hashes
+/// The recorded metric hashes of `key`, which every config must have.
+fn metric_hashes<const N: usize>(table: &[(&str, [u64; N])], key: &str) -> [u64; N] {
+    let row = table.iter().find(|(k, _)| *k == key);
+    row.unwrap_or_else(|| panic!("{key}: no metric hashes recorded")).1
 }
 
 /// Full-detail runs: every config over {RND, XS, BFS, TC} at Tiny.
@@ -113,6 +106,10 @@ fn detailed_runs_match_recorded_fingerprints() {
         ("victima+stlb", [0x84dfa694911411e2, 0x450e66987da89802, 0x46163fce5c10da10, 0xcd2c9f924cabf15e]),
         ("agnostic", [0xaef1b43cb0b639bb, 0x13c798dcd06f47b9, 0x4dd656e3647fb9f0, 0x8b60c646da8bf301]),
         ("ideal", [0x115aeae2e948cc68, 0x6c11e0e190cfeb57, 0x72aff1b57881b84c, 0x23fe7b0dcae48ee1]),
+        ("np", [0xa8defd8020119067, 0xb63a6d3a724c4fe0, 0x766a9a6dc5d0eabe, 0x9fd6fc4bd24e2433]),
+        ("pom-virt", [0xdd048ce4e453c8f8, 0xe5f3a891e75bebb2, 0x6fbbee0314ee53f0, 0xd35f408e408ac155]),
+        ("isp", [0x5cb5ca87a59f61fa, 0x4c4a963aaaf8cc01, 0xf0ef882c31ef2c1e, 0xb91c408c805fc748]),
+        ("victima-virt", [0x32659cc40bc95d39, 0x0c2745c0a2e00c36, 0x94bd5168e1af21fb, 0xfaf13606e1d80460]),
     ];
     let cases: Vec<Case> = stats
         .iter()
@@ -120,7 +117,7 @@ fn detailed_runs_match_recorded_fingerprints() {
             let metrics = metric_hashes(metrics, key);
             ["RND", "XS", "BFS", "TC"].into_iter().enumerate().map(move |(i, w)| {
                 let spec = RunSpec::new(w, config(key), Scale::Tiny, WARMUP, INSTRUCTIONS);
-                (spec, hashes[i], metrics.map(|m| m[i]))
+                (spec, hashes[i], metrics[i])
             })
         })
         .collect();
@@ -150,10 +147,7 @@ fn sampled_and_feature_runs_match_recorded_fingerprints() {
                 RunSpec::new("BFS", config(key), Scale::Tiny, WARMUP, 400_000).with_sampling(sampling);
             let features =
                 RunSpec::new("RND", config(key), Scale::Tiny, WARMUP, INSTRUCTIONS).with_features();
-            [sampled, features]
-                .into_iter()
-                .enumerate()
-                .map(move |(i, spec)| (spec, hashes[i], metrics.map(|m| m[i])))
+            [sampled, features].into_iter().enumerate().map(move |(i, spec)| (spec, hashes[i], metrics[i]))
         })
         .collect();
     assert_fingerprints(&cases);
