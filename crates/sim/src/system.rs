@@ -4,8 +4,11 @@
 //! L1 D-TLBs (per page size) → unified L2 TLB → mechanism-specific
 //! backstop (radix walk, hardware L3 TLB, POM-TLB lookup, Victima's
 //! parallel L2-cache probe, or the Fig. 10 ideal backstop) → page-table
-//! walk. One L2-TLB-miss pipeline serves native and virtualised modes;
-//! the nested 2D walk lives in [`crate::virt`].
+//! walk. One L2-TLB-miss pipeline serves native and virtualised modes,
+//! and one walk loop (`tlb_sim::walker::walk`) serves every page-table
+//! walk: the radix, host and shadow tables walk it directly, and the
+//! nested 2D walk in [`crate::virt`] walks the guest table with a
+//! gPA→hPA translation before each PTE read.
 
 use crate::config::{ExecMode, SystemConfig, TranslationMechanism};
 use crate::epochs::EpochTracker;
@@ -1006,6 +1009,10 @@ impl System {
                     .walker
                     .walk(pt, va, asid, &mut self.hier, &ctx)
                     .unwrap_or_else(|| panic!("page fault at {va}: workload touched an unmapped page"));
+                // Only 1-D walks feed the PTW latency histogram and the
+                // DRAM-walk count, so NP and Victima-virt report a zero
+                // PTW latency; recording both arms here is a pending fix
+                // that re-records the virtualised baselines.
                 self.stats.ptw_latency_hist.record(w.latency);
                 self.walks.dram_walks += u64::from(w.dram_touched);
                 (entry_from(va, asid, w.page_size, w.frame, w.leaf_pte), w, 0)

@@ -3,20 +3,43 @@
 //! TLB, Victima's nested TLB blocks of Fig. 18, host walk).
 //!
 //! The L2-TLB-miss pipeline itself (`System::resolve_l2_miss`) and
-//! Victima's eviction flow are shared with native mode; the 2D walk here
-//! is the pipeline's walk step under nested paging, and ideal shadow
-//! paging walks the shadow table like a native table. Hardware TLB
-//! entries in virtualised mode hold the *composed* gVA→hPA translation
-//! at the splintered granularity: 2MB only when both the guest page and
-//! its host backing are 2MB-aligned huge mappings.
+//! Victima's eviction flow are shared with native mode. The 2D walk is
+//! `tlb_sim::walker`'s one walk loop over the guest table, whose per-step
+//! hook translates each guest PTE address to host-physical before reading
+//! it; ideal shadow paging walks the shadow table like a native table.
+//! Hardware TLB entries in virtualised mode hold the *composed* gVA→hPA
+//! translation at the splintered granularity: 2MB only when both the guest
+//! page and its host backing are 2MB-aligned huge mappings.
 
 use crate::system::{entry_from, frame_pa, System};
-use mem_sim::{BlockKind, MemClass};
+use mem_sim::{AccessResult, BlockKind, MemClass, ReplacementCtx};
 use page_table::nested::gpa_as_va_addr;
-use page_table::NestedMemory;
-use tlb_sim::pwc::PWC_LATENCY;
-use tlb_sim::{TlbEntry, WalkOutcome};
+use page_table::{NestedMemory, RadixPageTable};
+use tlb_sim::{walker, PageWalkCaches, TlbEntry, WalkEnv, WalkOutcome};
 use vm_types::{Asid, Cycles, PageSize, PhysAddr, VirtAddr};
+
+/// The guest dimension of the 2D walk: the guest table under the demand
+/// walker's PWCs, each guest PTE read at its host-physical address.
+struct GuestWalk<'a> {
+    sys: &'a mut System,
+    ctx: ReplacementCtx,
+    demand: bool,
+}
+
+impl WalkEnv for GuestWalk<'_> {
+    fn table(&mut self) -> &mut RadixPageTable {
+        &mut self.sys.proc.memory.nested().guest.page_table
+    }
+
+    fn pwc(&mut self) -> &mut PageWalkCaches {
+        &mut self.sys.walker.pwc
+    }
+
+    fn read_pte(&mut self, gpa: PhysAddr) -> (PhysAddr, AccessResult, Cycles) {
+        let (hpa, h) = self.sys.host_translate(gpa, self.demand);
+        (hpa, self.sys.hier.access(hpa, false, MemClass::Ptw, &self.ctx), h)
+    }
+}
 
 impl System {
     /// The two-dimensional nested walk (Sec. 2.3): every guest page-table
@@ -30,67 +53,17 @@ impl System {
     /// walks from Victima's background eviction-flow walks (traffic
     /// without stall, and no demand statistics).
     pub(crate) fn nested_walk(&mut self, gva: VirtAddr, demand: bool) -> (TlbEntry, WalkOutcome, Cycles) {
-        let ctx = self.epoch.ctx();
         let asid = self.proc.asid;
-        let gw = self
-            .proc
-            .memory
-            .nested()
-            .guest
-            .page_table
-            .walk(gva)
-            .unwrap_or_else(|| panic!("guest page fault at {gva}"));
-        let leaf_level = gw.page_size.leaf_level();
-        let mut guest_lat = PWC_LATENCY;
-        let mut host_lat: Cycles = 0;
-        let mut guest_dram = false;
-        let mut accesses = 0u8;
-        let mut leaf_hpa = PhysAddr::new(0);
-        let deepest = self.walker.pwc.deepest_hit(gva, asid, leaf_level);
-        for step in gw.steps() {
-            if let Some(l) = deepest {
-                if step.level >= l {
-                    continue;
-                }
-            }
-            // The guest PTE lives at a guest-physical address; translate
-            // it. The PWCs never cover the leaf level, so the last step
-            // translated is the leaf.
-            let (pte_hpa, h) = self.host_translate(step.pte_paddr, demand);
-            host_lat += h;
-            leaf_hpa = pte_hpa;
-            let r = self.hier.access(pte_hpa, false, MemClass::Ptw, &ctx);
-            guest_lat += r.latency;
-            guest_dram |= r.dram_access;
-            accesses += 1;
-        }
-        self.walker.pwc.fill_all(gva, asid, leaf_level);
-
-        // Update the guest leaf's predictor counters.
-        let mut leaf_pte = gw.leaf_pte;
-        self.proc.memory.nested().guest.page_table.update_leaf(gva, |p| {
-            p.bump_ptw_freq();
-            if guest_dram {
-                p.bump_ptw_cost();
-            }
-            leaf_pte = *p;
-        });
+        let guest = &mut GuestWalk { ctx: self.epoch.ctx(), sys: self, demand };
+        let (walk, mut host_lat) =
+            walker::walk(guest, gva, asid).unwrap_or_else(|| panic!("guest page fault at {gva}"));
 
         // Compose the final gVA→hPA entry (+ final host translation).
-        let gpa = gw.output(gva);
+        let gpa = frame_pa(walk.frame, walk.page_size, gva);
         let (hpa_piece, h) = self.host_translate(PhysAddr::new(gpa.raw() & !0xfff), demand);
         host_lat += h;
-        let e = compose_entry(self.proc.memory.nested(), gva, asid, gw.page_size, gpa, hpa_piece);
-        let walk = WalkOutcome {
-            latency: guest_lat,
-            dram_touched: guest_dram,
-            frame: gw.frame,
-            page_size: gw.page_size,
-            leaf_pte,
-            leaf_pte_paddr: leaf_hpa,
-            memory_accesses: accesses,
-        };
-        (entry_from(gva, asid, e.size, e.frame, leaf_pte), walk, host_lat)
+        let e = compose_entry(self.proc.memory.nested(), gva, asid, walk.page_size, gpa, hpa_piece);
+        (entry_from(gva, asid, e.size, e.frame, walk.leaf_pte), walk, host_lat)
     }
 
     /// Translates a guest-physical address to host-physical through the

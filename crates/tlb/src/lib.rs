@@ -28,4 +28,4 @@ pub use configs::MmuConfig;
 pub use pom::{PomTlb, PomTlbConfig};
 pub use pwc::PageWalkCaches;
 pub use tlb::{SetAssocTlb, TlbConfig, TlbEntry};
-pub use walker::{PageTableWalker, WalkOutcome};
+pub use walker::{PageTableWalker, WalkEnv, WalkOutcome};
