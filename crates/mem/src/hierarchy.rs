@@ -612,7 +612,7 @@ mod tests {
             }
         }
         let l2 = &h.l2().stats;
-        assert!(l2.tlb_block_evictions > 0 && l2.prefetch_fills > 0 && h.l1d().stats.prefetch_fills > 0);
+        assert!(l2.tlb_reuse.total() > 0 && l2.prefetch_fills > 0 && h.l1d().stats.prefetch_fills > 0);
         let mut words = Vec::new();
         h.save_state(&mut words);
         let mut hash = 0xcbf2_9ce4_8422_2325u64;

@@ -61,10 +61,7 @@ struct RefCache {
     translation_blocks: usize,
     hits: u64,
     misses: u64,
-    fills: u64,
     prefetch_fills: u64,
-    evictions: u64,
-    tlb_block_evictions: u64,
 }
 
 impl RefCache {
@@ -79,10 +76,7 @@ impl RefCache {
             translation_blocks: 0,
             hits: 0,
             misses: 0,
-            fills: 0,
             prefetch_fills: 0,
-            evictions: 0,
-            tlb_block_evictions: 0,
         }
     }
 
@@ -220,12 +214,8 @@ impl RefCache {
         let victim = self.choose_victim(start, ctx);
         let old = self.blocks[start + victim];
         let evicted = old.valid.then_some(old);
-        if let Some(ev) = &evicted {
-            self.evictions += 1;
-            if ev.kind.is_translation() {
-                self.tlb_block_evictions += 1;
-                self.translation_blocks -= 1;
-            }
+        if evicted.is_some_and(|ev| ev.kind.is_translation()) {
+            self.translation_blocks -= 1;
         }
         self.blocks[start + victim] =
             RefBlock { valid: true, dirty, tag, kind, asid, size, rrip: 0, lru: 0, reuse: 0, prefetched };
@@ -234,8 +224,6 @@ impl RefCache {
         }
         if prefetched {
             self.prefetch_fills += 1;
-        } else {
-            self.fills += 1;
         }
         self.on_fill(start, victim, ctx);
         evicted
@@ -282,13 +270,7 @@ impl RefCache {
 fn assert_stats(model: &RefCache, stats: &CacheStats, translation_blocks: usize, ctx_label: &str) {
     assert_eq!(stats.hits, model.hits, "{ctx_label}: hits diverged");
     assert_eq!(stats.misses, model.misses, "{ctx_label}: misses diverged");
-    assert_eq!(stats.fills, model.fills, "{ctx_label}: fills diverged");
     assert_eq!(stats.prefetch_fills, model.prefetch_fills, "{ctx_label}: prefetch fills diverged");
-    assert_eq!(stats.evictions, model.evictions, "{ctx_label}: evictions diverged");
-    assert_eq!(
-        stats.tlb_block_evictions, model.tlb_block_evictions,
-        "{ctx_label}: tlb block evictions diverged"
-    );
     assert_eq!(translation_blocks, model.translation_blocks, "{ctx_label}: translation population diverged");
 }
 
