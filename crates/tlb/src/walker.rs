@@ -113,6 +113,27 @@ pub struct PageTableWalker {
     pub pwc: PageWalkCaches,
 }
 
+impl PageTableWalker {
+    /// Creates a walker with cold PWCs.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Performs one walk of `pt` for `va`, issuing real hierarchy accesses
+    /// for the levels not covered by the PWCs. Returns `None` if `va` is
+    /// unmapped (a page fault, which the simulated workloads never incur).
+    pub fn walk(
+        &mut self,
+        pt: &mut RadixPageTable,
+        va: VirtAddr,
+        asid: Asid,
+        hier: &mut Hierarchy,
+        ctx: &ReplacementCtx,
+    ) -> Option<WalkOutcome> {
+        walk(&mut FlatWalk { pt, pwc: &mut self.pwc, hier, ctx }, va, asid).map(|(w, _)| w)
+    }
+}
+
 /// A one-dimensional walk: every PTE is read at its own address.
 struct FlatWalk<'a> {
     pt: &'a mut RadixPageTable,
@@ -132,27 +153,6 @@ impl WalkEnv for FlatWalk<'_> {
 
     fn read_pte(&mut self, pte_addr: PhysAddr) -> (PhysAddr, AccessResult, Cycles) {
         (pte_addr, self.hier.access(pte_addr, false, MemClass::Ptw, self.ctx), 0)
-    }
-}
-
-impl PageTableWalker {
-    /// Creates a walker with cold PWCs.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Performs one walk of `pt` for `va`, issuing real hierarchy accesses
-    /// for the levels not covered by the PWCs. Returns `None` if `va` is
-    /// unmapped (a page fault, which the simulated workloads never incur).
-    pub fn walk(
-        &mut self,
-        pt: &mut RadixPageTable,
-        va: VirtAddr,
-        asid: Asid,
-        hier: &mut Hierarchy,
-        ctx: &ReplacementCtx,
-    ) -> Option<WalkOutcome> {
-        walk(&mut FlatWalk { pt, pwc: &mut self.pwc, hier, ctx }, va, asid).map(|(w, _)| w)
     }
 }
 
