@@ -35,8 +35,8 @@ pub struct WalkOutcome {
     /// Physical address of the leaf PTE (its 64B block holds the cluster
     /// of 8 PTEs that Victima transforms into a TLB block).
     pub leaf_pte_paddr: PhysAddr,
-    /// Number of memory accesses the walk issued (0 when all upper levels
-    /// hit in the PWC is impossible — the leaf always goes to memory).
+    /// Number of memory accesses the walk issued: at least one, since the
+    /// PWCs never cover the leaf level.
     pub memory_accesses: u8,
 }
 
